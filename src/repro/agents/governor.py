@@ -183,15 +183,11 @@ class Governor:
         offered here; the sparse path serves the streaming/scale-mode
         engines, which use the full view.
         """
-        for collector in topology.collectors:
-            self.book.register_collector_sparse(
-                collector, topology.providers_of(collector)
-            )
-        self._linked = {
-            provider: tuple(topology.collectors_of(provider))
-            for provider in topology.providers
-        }
-        self._visible = frozenset(topology.collectors)
+        self.register_streaming(
+            {collector: topology.providers_of(collector) for collector in topology.collectors}
+        )
+        for provider in topology.providers:
+            self.link_provider(provider, topology.collectors_of(provider))
 
     def register_streaming(self, collector_members: dict[str, object]) -> None:
         """Streaming-population setup: sparse books, no materialized links.
@@ -459,6 +455,11 @@ class Governor:
             decision.labels,
             true_label,
         )
+
+    def reveal_pending(self, oracle: ValidityOracle) -> None:
+        """Reveal every still-pending unchecked truth (end-of-run hook)."""
+        for tx_id in list(self._pending_unchecked):
+            self.reveal_truth(tx_id, oracle)
 
     def _account_unchecked_truth(
         self, decision: ScreeningDecision, true_label: Label

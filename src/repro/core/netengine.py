@@ -66,22 +66,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from repro import perf
 from repro.agents.behaviors import CollectorBehavior, HonestBehavior
-from repro.agents.collector import Collector
-from repro.agents.governor import Governor
-from repro.agents.provider import Provider
 from repro.audit import config as audit_config
 from repro.audit.auditor import AuditViolation, SafetyAuditor, ViolationType
 from repro.audit.config import AuditConfig
 from repro.consensus.messages import CommitVote
 from repro.consensus.pos import LeaderElection
 from repro.consensus.stake import StakeLedger
+from repro.core.kernel import RoundKernel
 from repro.core.params import ProtocolParams
 from repro.core.rewards import distribute_rewards
-from repro.crypto.identity import IdentityManager, Role
+from repro.crypto.identity import Role
 from repro.crypto.signatures import sign
 from repro.exceptions import (
     ConfigurationError,
@@ -92,7 +88,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.ledger.block import Block
 from repro.ledger.chain import Ledger
-from repro.ledger.properties import RunTranscript
 from repro.ledger.store import BlockStore
 from repro.ledger.sync import sync_replica
 from repro.ledger.transaction import (
@@ -103,12 +98,11 @@ from repro.ledger.transaction import (
     TxRecord,
     make_signed_transaction,
 )
-from repro.ledger.validation import CountingOracle, GroundTruthOracle
 from repro.network.broadcast import AtomicBroadcast
 from repro.network.reliable import ReliableChannel
 from repro.network.simnet import Message, Simulator, SyncNetwork
 from repro.network.topology import Topology
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.storage.checkpoints import reputation_digest
 from repro.storage.durable import StorageConfig, open_durable_store, storage_metrics
 from repro.storage.recovery import RecoveryReport
@@ -175,12 +169,12 @@ class RoundContext:
     packed: dict
     actual_leader: dict
     argue_start: float = 0.0
-    argues_before: int = 0
+    argues_sent: int = 0
     block: Block | None = None
     leader: str = ""
 
 
-class NetworkedProtocolEngine:
+class NetworkedProtocolEngine(RoundKernel):
     """The protocol over real (simulated) packets.
 
     Args:
@@ -243,12 +237,8 @@ class NetworkedProtocolEngine:
                 f"screening timer delta={params.delta} must be >= 2*max_delay="
                 f"{2 * max_delay} to cover the report spread"
             )
+        super().__init__(params, seed, obs)
         self.topology = topology
-        self.params = params
-        self.obs = obs if obs is not None else NULL_REGISTRY
-        self.im = IdentityManager(seed=seed, obs=self.obs)
-        self.oracle = GroundTruthOracle()
-        self.transcript = RunTranscript()
         # The storage_* family registers unconditionally (like audit_*)
         # so the telemetry inventory is identical with durability off.
         self._m_storage = storage_metrics(self.obs)
@@ -290,20 +280,6 @@ class NetworkedProtocolEngine:
             if resilience
             else None
         )
-        self._m_rounds = self.obs.counter(
-            "engine_rounds_total", "Protocol rounds executed"
-        )
-        self._m_tx_offered = self.obs.counter(
-            "engine_tx_offered_total", "Workload transactions offered to providers"
-        )
-        self._m_engine_argues = self.obs.counter(
-            "engine_argues_total", "Argue messages raised by providers"
-        )
-        self._m_block_size = self.obs.histogram(
-            "engine_block_size",
-            "Records packed per block",
-            buckets=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
-        )
         self._m_crash_events = self.obs.counter(
             "engine_crash_events_total",
             "Node crash/recover transitions applied by the engine",
@@ -338,15 +314,10 @@ class NetworkedProtocolEngine:
         self._vote_strategies: dict = {}
         # evidence-forward dedup: (forwarder, vote governor, serial, hash)
         self._forwarded_votes: set[tuple] = set()
-        self._master = np.random.default_rng(seed)
-        self._round = 0
-        self._reevaluated_queue: dict[str, TxRecord] = {}
-        self._round_records: dict[str, list[TxRecord]] = {}
         # tx ids already packed into some block: the pack-time dedup
         # filter that lets late-screened records carry across rounds
         # without a later leader re-packing an on-chain transaction.
         self._packed_tx_ids: set[str] = set()
-        self._argues_sent = 0
         self.rewards_paid: dict[str, float] = {}
         # -- cross-shard receipts (enable_xshard) -----------------------
         # Relay endpoint id + signing key; None until a ShardCoordinator
@@ -354,8 +325,6 @@ class NetworkedProtocolEngine:
         # so non-sharded runs stay bit-identical (no extra key draw).
         self._xshard_relay: str | None = None
         self._relay_key = None
-        # gid -> receipt_id -> receipt awaiting pack at that governor.
-        self._receipt_buffers: dict[str, dict[str, object]] = {}
         # receipt ids already committed here (replay-proofing).
         self._applied_receipt_ids: set[str] = set()
         # Live collector -> provider links.  Starts as the topology's
@@ -366,46 +335,21 @@ class NetworkedProtocolEngine:
             cid: topology.providers_of(cid) for cid in topology.collectors
         }
 
-        behaviors = dict(behaviors or {})
-        unknown = set(behaviors) - set(topology.collectors)
-        if unknown:
-            raise ConfigurationError(f"behaviours for unknown collectors: {sorted(unknown)}")
-
-        # -- enrolment and agents ---------------------------------------
-        self.providers: dict[str, Provider] = {}
-        for pid in topology.providers:
-            key = self.im.enroll(pid, Role.PROVIDER)
-            self.providers[pid] = Provider(
-                provider_id=pid, key=key, linked_collectors=topology.collectors_of(pid)
-            )
-        self.collectors: dict[str, Collector] = {}
-        for cid in topology.collectors:
-            key = self.im.enroll(cid, Role.COLLECTOR)
-            self.collectors[cid] = Collector(
-                collector_id=cid,
-                key=key,
-                linked_providers=topology.providers_of(cid),
-                behavior=behaviors.get(cid, HonestBehavior()),
-                rng=np.random.default_rng(self._master.integers(2**63)),
-            )
-            for pid in topology.providers_of(cid):
-                self.im.register_link(cid, pid)
-        self.governors: dict[str, Governor] = {}
-        for gid in topology.governors:
-            key = self.im.enroll(gid, Role.GOVERNOR)
-            gov = Governor(
-                governor_id=gid,
-                key=key,
-                params=params,
-                im=self.im,
-                oracle=CountingOracle(inner=self.oracle),
-                rng=np.random.default_rng(self._master.integers(2**63)),
-                obs=self.obs,
-            )
-            gov.register_topology(topology)
-            self.governors[gid] = gov
-            self._round_records[gid] = []
-            self._receipt_buffers[gid] = {}
+        self._enroll_agents(
+            {cid: topology.providers_of(cid) for cid in topology.collectors},
+            topology.governors,
+            behaviors,
+            lambda governor: governor.register_topology(topology),
+            providers={pid: topology.collectors_of(pid) for pid in topology.providers},
+        )
+        # Screened records awaiting pack, and (gid -> receipt_id ->)
+        # cross-shard receipts awaiting pack, per governor.
+        self._round_records: dict[str, list[TxRecord]] = {
+            gid: [] for gid in topology.governors
+        }
+        self._receipt_buffers: dict[str, dict[str, object]] = {
+            gid: {} for gid in topology.governors
+        }
         # One auditor per governor (created even when disabled, so the
         # audit_* metric families are always registered; disabled
         # configs simply never call into them).
@@ -453,18 +397,20 @@ class NetworkedProtocolEngine:
         # With resilience on, nodes register behind the reliable channel
         # (plain traffic passes through it untouched) and the lossless
         # groups ride the ack/retransmit transport.
-        register = self.channel.register if self.channel is not None else self.network.register
+        self._register_node = (
+            self.channel.register if self.channel is not None else self.network.register
+        )
         for cid in topology.collectors:
-            register(cid, self._collector_on_message(cid))
+            self._register_node(cid, self._collector_on_message(cid))
             self.broadcast.register_handler(
                 f"feed:{cid}", cid, self._collector_on_feed(cid)
             )
         for gid in topology.governors:
-            register(gid, self._governor_on_message(gid))
+            self._register_node(gid, self._governor_on_message(gid))
             self.broadcast.register_handler("uploads", gid, self._governor_on_upload(gid))
             self.broadcast.register_handler("blocks", gid, self._governor_on_block(gid))
         for pid in topology.providers:
-            register(pid, lambda message: None)
+            self._register_node(pid, lambda message: None)
         if self.resilience:
             reliable_groups = {f"feed:{cid}" for cid in topology.collectors}
             reliable_groups.add("uploads")
@@ -519,7 +465,12 @@ class NetworkedProtocolEngine:
 
     def _collector_on_feed(self, cid: str):
         def handle(sender: str, tx: SignedTransaction) -> None:
-            for labeled in self.collectors[cid].process_all(tx, self.oracle):
+            collector = self.collectors.get(cid)
+            if collector is None:
+                # Migrated away by a reshuffle while this frame was in
+                # flight; the provider's other collectors still deliver.
+                return
+            for labeled in collector.process_all(tx, self.oracle):
                 self.transcript.collector_uploads.add(tx.tx_id)
                 self.broadcast.broadcast("uploads", cid, labeled)
         return handle
@@ -643,10 +594,7 @@ class NetworkedProtocolEngine:
             )
         self._xshard_relay = relay_id
         self._relay_key = self.im.enroll(relay_id, Role.PROVIDER)
-        register = (
-            self.channel.register if self.channel is not None else self.network.register
-        )
-        register(relay_id, lambda message: None)
+        self._register_node(relay_id, lambda message: None)
 
     def inject_receipts(self, receipts: Sequence) -> None:
         """Fan relayed cross-shard receipts out to every governor.
@@ -880,10 +828,7 @@ class NetworkedProtocolEngine:
             role = "governor"
         elif node_id in self.collectors:
             role = "collector"
-            for governor in self.governors.values():
-                if governor.book.is_registered(node_id):
-                    governor.drop_collector(node_id)
-            self.store.forget_reader(node_id)
+            self._churn_out(node_id)
         else:
             role = "other"
         self.quarantine_log.append(
@@ -912,10 +857,7 @@ class NetworkedProtocolEngine:
         elif node_id in self.collectors:
             group = f"feed:{node_id}"
             self.broadcast.skip_to(group, node_id, self.broadcast.current_seqno(group))
-            providers = self.collector_providers[node_id]
-            for governor in self.governors.values():
-                if not governor.book.is_registered(node_id):
-                    governor.admit_collector(node_id, providers, bootstrap="median")
+            self._churn_in(node_id, self.collector_providers[node_id])
 
     def _end_of_round_audit(self, round_number: int) -> None:
         """Per-round invariant sweep (books, agreement, Theorem-1 bound)."""
@@ -1085,12 +1027,7 @@ class NetworkedProtocolEngine:
         self._crashed.add(cid)
         self.network.partition(cid)
         if retire:
-            for governor in self.governors.values():
-                if governor.book.is_registered(cid):
-                    governor.drop_collector(cid)
-            # A retired node's read cursor would otherwise leak forever
-            # under churn soaks (same class as the PR-5 pending scrub).
-            self.store.forget_reader(cid)
+            self._churn_out(cid)
         self.fault_log.append((self.sim.now, "crash", cid, 0))
         self._m_crash_events.labels(event="crash").inc()
 
@@ -1108,32 +1045,11 @@ class NetworkedProtocolEngine:
         self.network.heal(cid)
         group = f"feed:{cid}"
         self.broadcast.skip_to(group, cid, self.broadcast.current_seqno(group))
-        providers = self.collector_providers[cid]
-        for governor in self.governors.values():
-            if not governor.book.is_registered(cid):
-                governor.admit_collector(cid, providers, bootstrap=bootstrap)
+        self._churn_in(cid, self.collector_providers[cid], bootstrap)
         self.fault_log.append((self.sim.now, "recover", cid, 0))
         self._m_crash_events.labels(event="recover").inc()
 
     # -- epoch migration (sharded deployments) -----------------------------
-
-    def collector_masses(self) -> dict[str, float]:
-        """Each live collector's reputation mass (mean over governors).
-
-        A collector's mass at one governor is the sum of its per-provider
-        weights; averaging across governors gives the shard-assignment
-        signal (RepChain-style reputation-balanced sharding) without
-        privileging any single governor's book.
-        """
-        totals: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        for governor in self.governors.values():
-            book = governor.book
-            for cid in book.collectors():
-                mass = float(sum(book.vector(cid).provider_weights.values()))
-                totals[cid] = totals.get(cid, 0.0) + mass
-                counts[cid] = counts.get(cid, 0) + 1
-        return {cid: totals[cid] / counts[cid] for cid in sorted(totals)}
 
     def release_collector(self, cid: str) -> tuple[tuple[str, ...], CollectorBehavior]:
         """Expel a collector for migration to another shard.
@@ -1148,9 +1064,7 @@ class NetworkedProtocolEngine:
         if cid not in self.collectors:
             raise ConfigurationError(f"unknown collector {cid!r}")
         providers = self.collector_providers.pop(cid)
-        for governor in self.governors.values():
-            if governor.book.is_registered(cid):
-                governor.drop_collector(cid)
+        self._churn_out(cid)
         collector = self.collectors.pop(cid)
         for pid in providers:
             provider = self.providers[pid]
@@ -1158,7 +1072,6 @@ class NetworkedProtocolEngine:
                 c for c in provider.linked_collectors if c != cid
             )
         self._crashed.discard(cid)
-        self.store.forget_reader(cid)
         return providers, collector.behavior
 
     def adopt_collector(
@@ -1179,16 +1092,8 @@ class NetworkedProtocolEngine:
         if cid in self.collectors:
             raise ConfigurationError(f"collector {cid!r} already on this shard")
         providers = tuple(providers)
-        if self.im.is_enrolled(cid):
-            key = self.im.record(cid).key
-        else:
-            key = self.im.enroll(cid, Role.COLLECTOR)
-        self.collectors[cid] = Collector(
-            collector_id=cid,
-            key=key,
-            linked_providers=providers,
-            behavior=behavior if behavior is not None else HonestBehavior(),
-            rng=np.random.default_rng(self._master.integers(2**63)),
+        self._enroll_collector(
+            cid, providers, behavior if behavior is not None else HonestBehavior()
         )
         for pid in providers:
             self.im.register_link(cid, pid)
@@ -1200,17 +1105,29 @@ class NetworkedProtocolEngine:
             self.broadcast.create_group(group, [cid])
             if self.resilience:
                 self.broadcast.add_reliable_group(group)
-        register = (
-            self.channel.register if self.channel is not None else self.network.register
-        )
-        register(cid, self._collector_on_message(cid))
+        self._register_node(cid, self._collector_on_message(cid))
         self.broadcast.register_handler(group, cid, self._collector_on_feed(cid))
         # A returning collector must not replay the feed it missed.
         self.broadcast.skip_to(group, cid, self.broadcast.current_seqno(group))
+        self._churn_in(cid, providers)
+        self.collector_providers[cid] = providers
+
+    def _churn_out(self, cid: str) -> None:
+        """Retire ``cid`` from every reputation book (the churn rules)."""
+        for governor in self.governors.values():
+            if governor.book.is_registered(cid):
+                governor.drop_collector(cid)
+        # A retired node's read cursor would otherwise leak forever
+        # under churn soaks.
+        self.store.forget_reader(cid)
+
+    def _churn_in(
+        self, cid: str, providers: Sequence[str], bootstrap: str = "median"
+    ) -> None:
+        """Re-admit ``cid`` to every book that retired it."""
         for governor in self.governors.values():
             if not governor.book.is_registered(cid):
-                governor.admit_collector(cid, providers, bootstrap="median")
-        self.collector_providers[cid] = providers
+                governor.admit_collector(cid, providers, bootstrap=bootstrap)
 
     def _live_leader(self, elected: str) -> str:
         """Deterministic leader failover: next eligible governor in order.
@@ -1264,13 +1181,8 @@ class NetworkedProtocolEngine:
         # Phase 1: providers broadcast at t0.
         round_txs: list = []
         for spec in specs:
-            provider = self.providers[spec.provider]
-            tx = provider.create_transaction(spec.payload, timestamp=t0)
+            provider, tx = self._intake(spec, t0)
             round_txs.append(tx)
-            self.oracle.assign(tx, spec.is_valid)
-            self.transcript.provider_broadcasts.add(tx.tx_id)
-            if spec.is_valid and provider.active:
-                self.transcript.honest_valid_tx.add(tx.tx_id)
             for cid in provider.linked_collectors:
                 self.broadcast.broadcast(f"feed:{cid}", provider.provider_id, tx)
         # Pre-warm the IM's verification cache with this round's provider
@@ -1386,19 +1298,13 @@ class NetworkedProtocolEngine:
         ctx.leader = ctx.actual_leader["id"]
 
         ctx.argue_start = self.sim.now
-        ctx.argues_before = self._argues_sent
-        for provider in self.providers.values():
-            fresh = self.store.next_for(provider.provider_id)
-            while fresh is not None:
-                for tx_id in provider.review_block(fresh, self.oracle):
-                    self.transcript.argue_calls.add(tx_id)
-                    self._argues_sent += 1
-                    request = ArgueRequest(
-                        provider=provider.provider_id, tx_id=tx_id, serial=fresh.serial
-                    )
-                    for gid in self.topology.governors:
-                        self.network.send(provider.provider_id, gid, request)
-                fresh = self.store.next_for(provider.provider_id)
+        for provider, tx_id, serial in self._argue_scan():
+            ctx.argues_sent += 1
+            request = ArgueRequest(
+                provider=provider.provider_id, tx_id=tx_id, serial=serial
+            )
+            for gid in self.topology.governors:
+                self.network.send(provider.provider_id, gid, request)
         return self.sim.now + self.network.max_delay + 0.001
 
     def complete_round(self, ctx: RoundContext) -> NetworkedRoundResult:
@@ -1413,10 +1319,7 @@ class NetworkedProtocolEngine:
         if self.audit.enabled:
             self._end_of_round_audit(round_number)
 
-        self._m_rounds.inc()
-        self._m_tx_offered.inc(ctx.specs_count)
-        self._m_engine_argues.inc(self._argues_sent - ctx.argues_before)
-        self._m_block_size.observe(float(len(block.tx_list)))
+        self._count_round(ctx.specs_count, len(block.tx_list))
         self.obs.record_span(
             "argue_phase", ctx.argue_start, self.sim.now, round=round_number
         )
@@ -1428,7 +1331,7 @@ class NetworkedProtocolEngine:
             round_number=round_number,
             leader=leader_id,
             block=block,
-            argues_sent=self._argues_sent - ctx.argues_before,
+            argues_sent=ctx.argues_sent,
             rewards=rewards,
         )
 
@@ -1472,10 +1375,4 @@ class NetworkedProtocolEngine:
         """
         if drain:
             self.drain_recovery()
-        for governor in self.governors.values():
-            for tx_id in list(governor._pending_unchecked):
-                governor.reveal_truth(tx_id, self.oracle)
-
-    def ledgers(self) -> list:
-        """Every governor's replica, for property checks."""
-        return [g.ledger for g in self.governors.values()]
+        self._reveal_pending()

@@ -20,6 +20,12 @@ consensus — and executes rounds:
    trigger case-3 reputation updates on every governor, and the records
    enter the *next* block.
 
+This is the one in-process round: the streaming session
+(:class:`~repro.streaming.session.StreamingSession`) runs it through a
+few overrides (``_enroll``, ``_admit``, ``_instantiate``,
+``_close_round``), and the transport-independent steps it shares with
+the packet-level engine live in :class:`~repro.core.kernel.RoundKernel`.
+
 Message accounting in this in-process engine is analytic: each phase
 adds exactly the messages the real exchange would send, so the E7
 complexity bench measures the paper's ``O(b_limit * m)`` ordinary-block
@@ -33,30 +39,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from repro.agents.behaviors import CollectorBehavior, HonestBehavior
-from repro.agents.collector import Collector
+from repro.agents.behaviors import CollectorBehavior
 from repro.agents.governor import Governor
-from repro.agents.provider import Provider
 from repro.audit import config as audit_config
 from repro.consensus.pos import LeaderElection
 from repro.consensus.stake import StakeLedger, StakeTransfer
 from repro.consensus.messages import NewStateProposal
 from repro.consensus.stake_consensus import StakeConsensusRound, make_proposal
+from repro.core.kernel import RoundKernel
 from repro.core.params import ProtocolParams
 from repro.core.rewards import distribute_rewards
-from repro.crypto.identity import IdentityManager, Role
 from repro.crypto.signatures import sign
 from repro.exceptions import ConfigurationError, LeaderMisbehaviourError
 from repro.ledger.block import Block
-from repro.ledger.properties import RunTranscript
 from repro.ledger.store import BlockStore
 from repro.ledger.transaction import LabeledTransaction, TxRecord
-from repro.ledger.validation import CountingOracle, GroundTruthOracle
 from repro.network.topology import Topology
 from repro.network.visibility import VisibilityMap
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.workloads.generator import TxSpec
 
 __all__ = ["RoundResult", "EngineMetrics", "ProtocolEngine"]
@@ -97,7 +97,7 @@ class EngineMetrics:
     rewards_paid: dict[str, float] = field(default_factory=dict)
 
 
-class ProtocolEngine:
+class ProtocolEngine(RoundKernel):
     """In-process execution of the full three-tier protocol.
 
     Args:
@@ -137,132 +137,71 @@ class ProtocolEngine:
         obs: MetricsRegistry | None = None,
         sparse_reputation: bool = False,
     ):
-        self.topology = topology
-        self.params = params
-        self.seed = seed
-        self.leader_rotation = leader_rotation
-        self.sparse_reputation = sparse_reputation
-        self.visibility = visibility
         if sparse_reputation and visibility is not None:
             raise ConfigurationError(
                 "sparse_reputation does not support partial visibility"
             )
         if visibility is not None:
             visibility.validate(topology)
-        self.obs = obs if obs is not None else NULL_REGISTRY
-        self.im = IdentityManager(seed=seed, obs=self.obs)
-        self.oracle = GroundTruthOracle()
-        self.transcript = RunTranscript()
+        super().__init__(params, seed, obs)
+        self.topology = topology
+        self.leader_rotation = leader_rotation
+        self.sparse_reputation = sparse_reputation
+        self.visibility = visibility
         self.store = BlockStore()
         self.metrics = EngineMetrics()
         # Harness-level AuditReport, filled by finalize() when the
         # safety auditor is enabled (repro.audit.config).
         self.audit_report = None
-        self._round = 0
-        self._reevaluated_queue: dict[str, TxRecord] = {}
-        self._master = np.random.default_rng(seed)
-        self._m_rounds = self.obs.counter(
-            "engine_rounds_total", "Protocol rounds executed"
-        )
-        self._m_tx_offered = self.obs.counter(
-            "engine_tx_offered_total", "Workload transactions offered to providers"
-        )
-        self._m_engine_argues = self.obs.counter(
-            "engine_argues_total", "Argue messages raised by providers"
-        )
-        self._m_block_size = self.obs.histogram(
-            "engine_block_size",
-            "Records packed per block",
-            buckets=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
-        )
-
-        behaviors = dict(behaviors or {})
-        unknown = set(behaviors) - set(topology.collectors)
-        if unknown:
-            raise ConfigurationError(
-                f"behaviours supplied for unknown collectors: {sorted(unknown)}"
-            )
-
-        abusive = dict(abusive_providers or {})
-        unknown_prov = set(abusive) - set(topology.providers)
-        if unknown_prov:
-            raise ConfigurationError(
-                f"abuse rates for unknown providers: {sorted(unknown_prov)}"
-            )
-        self.providers: dict[str, Provider] = {}
-        for pid in topology.providers:
-            key = self.im.enroll(pid, Role.PROVIDER)
-            rate = abusive.get(pid, 0.0)
-            self.providers[pid] = Provider(
-                provider_id=pid,
-                key=key,
-                linked_collectors=topology.collectors_of(pid),
-                argue_abuse_rate=rate,
-                abuse_rng=(
-                    np.random.default_rng(self._master.integers(2**63))
-                    if rate > 0.0
-                    else None
-                ),
-            )
-        self.collectors: dict[str, Collector] = {}
-        for cid in topology.collectors:
-            key = self.im.enroll(cid, Role.COLLECTOR)
-            self.collectors[cid] = Collector(
-                collector_id=cid,
-                key=key,
-                linked_providers=topology.providers_of(cid),
-                behavior=behaviors.get(cid, HonestBehavior()),
-                rng=np.random.default_rng(self._master.integers(2**63)),
-            )
-            for pid in topology.providers_of(cid):
-                self.im.register_link(cid, pid)
-        self.governors: dict[str, Governor] = {}
-        for gid in topology.governors:
-            key = self.im.enroll(gid, Role.GOVERNOR)
-            gov = Governor(
-                governor_id=gid,
-                key=key,
-                params=params,
-                im=self.im,
-                oracle=CountingOracle(inner=self.oracle),
-                rng=np.random.default_rng(self._master.integers(2**63)),
-                obs=self.obs,
-            )
-            if sparse_reputation:
-                # Value-for-value the same registration (default rows at
-                # initial reputation, identical member order), so seeded
-                # runs are bit-identical to the dense path — locked by
-                # tests/test_streaming.py's equivalence suite.
-                gov.register_topology_sparse(topology)
-            else:
-                gov.register_topology(
-                    topology,
-                    None if visibility is None else visibility.collectors_for(gid),
-                )
-            self.governors[gid] = gov
+        self._enroll(behaviors, abusive_providers)
 
         initial_stake = dict(stake) if stake else {g: 1 for g in topology.governors}
         unknown_gov = set(initial_stake) - set(topology.governors)
         if unknown_gov:
             raise ConfigurationError(f"stake for unknown governors: {sorted(unknown_gov)}")
         self.stake = StakeLedger.from_balances(initial_stake)
-        self.election = LeaderElection(
-            im=self.im, governor_order=list(topology.governors)
-        )
         self._stake_nonce = 0
         self._byzantine: set[str] = set()
         self._expelled: set[str] = set()
         self.expulsions: list[tuple[str, str]] = []
 
+    def _enroll(
+        self,
+        behaviors: Mapping[str, CollectorBehavior] | None,
+        abusive: Mapping[str, float] | None,
+    ) -> None:
+        """Enrol the whole topology up front, providers first."""
+        topology = self.topology
+
+        def register(governor: Governor) -> None:
+            if self.sparse_reputation:
+                # Value-for-value the same registration (default rows at
+                # initial reputation, identical member order), so seeded
+                # runs are bit-identical to the dense path — locked by
+                # tests/test_streaming.py's equivalence suite.
+                governor.register_topology_sparse(topology)
+            else:
+                governor.register_topology(
+                    topology,
+                    None
+                    if self.visibility is None
+                    else self.visibility.collectors_for(governor.governor_id),
+                )
+
+        self._enroll_agents(
+            {cid: topology.providers_of(cid) for cid in topology.collectors},
+            topology.governors,
+            behaviors,
+            register,
+            providers={pid: topology.collectors_of(pid) for pid in topology.providers},
+            abusive=abusive,
+        )
+
     # -- round execution -------------------------------------------------
 
     def run_round(self, specs: Sequence[TxSpec]) -> RoundResult:
         """Execute one full round over the given workload batch."""
-        if len(specs) + len(self._reevaluated_queue) > self.params.b_limit:
-            raise ConfigurationError(
-                f"round batch of {len(specs)} plus {len(self._reevaluated_queue)} "
-                f"re-evaluated records exceeds b_limit={self.params.b_limit}"
-            )
+        specs = self._admit(specs)
         self._round += 1
         round_number = self._round
         m = self.topology.m
@@ -271,12 +210,7 @@ class ProtocolEngine:
         timestamp = float(round_number)
         deliveries: list[tuple[str, object]] = []  # (collector, tx)
         for spec in specs:
-            provider = self.providers[spec.provider]
-            tx = provider.create_transaction(spec.payload, timestamp)
-            self.oracle.assign(tx, spec.is_valid)
-            self.transcript.provider_broadcasts.add(tx.tx_id)
-            if spec.is_valid and provider.active:
-                self.transcript.honest_valid_tx.add(tx.tx_id)
+            provider, tx = self._intake(spec, timestamp)
             for cid in provider.linked_collectors:
                 deliveries.append((cid, tx))
             self.metrics.provider_messages += len(provider.linked_collectors)
@@ -329,35 +263,21 @@ class ProtocolEngine:
 
         # Phase 4: arguing.
         argues_admitted = 0
-        for provider in self.providers.values():
-            fresh = self.store.next_for(provider.provider_id)
-            while fresh is not None:
-                for tx_id in provider.review_block(fresh, self.oracle):
-                    self.transcript.argue_calls.add(tx_id)
-                    self.metrics.argues_total += 1
-                    self._m_engine_argues.inc()
-                    admitted_record: TxRecord | None = None
-                    for governor in self.governors.values():
-                        record = governor.handle_argue(tx_id)
-                        if record is not None:
-                            admitted_record = record
-                    if admitted_record is not None:
-                        argues_admitted += 1
-                        self._reevaluated_queue[tx_id] = admitted_record
-                fresh = self.store.next_for(provider.provider_id)
+        for _provider, tx_id, _serial in self._argue_scan():
+            self.metrics.argues_total += 1
+            admitted_record: TxRecord | None = None
+            for governor in self.governors.values():
+                record = governor.handle_argue(tx_id)
+                if record is not None:
+                    admitted_record = record
+            if admitted_record is not None:
+                argues_admitted += 1
+                self._reevaluated_queue[tx_id] = admitted_record
 
-        # Rewards from the leader's reputation view.
-        rewards = distribute_rewards(self.params, leader.book)
-        for cid, amount in rewards.items():
-            self.metrics.rewards_paid[cid] = (
-                self.metrics.rewards_paid.get(cid, 0.0) + amount
-            )
-
+        rewards = self._close_round(leader)
         self.metrics.rounds += 1
         self.metrics.transactions_offered += len(specs)
-        self._m_rounds.inc()
-        self._m_tx_offered.inc(len(specs))
-        self._m_block_size.observe(float(len(block_records)))
+        self._count_round(len(specs), len(block_records))
 
         return RoundResult(
             round_number=round_number,
@@ -368,6 +288,24 @@ class ProtocolEngine:
             rewards=rewards,
             uploads=tuple(uploads),
         )
+
+    def _admit(self, specs: Sequence[TxSpec]) -> Sequence[TxSpec]:
+        """The round's batch: all of ``specs``, which must fit in a block."""
+        if len(specs) + len(self._reevaluated_queue) > self.params.b_limit:
+            raise ConfigurationError(
+                f"round batch of {len(specs)} plus {len(self._reevaluated_queue)} "
+                f"re-evaluated records exceeds b_limit={self.params.b_limit}"
+            )
+        return specs
+
+    def _close_round(self, leader: Governor) -> Mapping[str, float]:
+        """Pay the round's rewards from the leader's reputation view."""
+        rewards = distribute_rewards(self.params, leader.book)
+        for cid, amount in rewards.items():
+            self.metrics.rewards_paid[cid] = (
+                self.metrics.rewards_paid.get(cid, 0.0) + amount
+            )
+        return rewards
 
     def _elect_leader(self, round_number: int) -> str:
         eligible = [
@@ -383,8 +321,6 @@ class ProtocolEngine:
             # All stake sits with expelled governors: fall back to
             # round-robin among the eligible so the chain stays live.
             return eligible[(round_number - 1) % len(eligible)]
-        from repro.consensus.stake import StakeLedger
-
         filtered = StakeLedger.from_balances(
             {g: self.stake.balance(g) for g in staked}
         )
@@ -498,9 +434,7 @@ class ProtocolEngine:
         harness-level audit — cross-replica agreement plus the Theorem-1
         regret guardrail — and leaves the verdict in ``audit_report``.
         """
-        for governor in self.governors.values():
-            for tx_id in list(governor._pending_unchecked):
-                governor.reveal_truth(tx_id, self.oracle)
+        self._reveal_pending()
         cfg = audit_config.get_config()
         if cfg.enabled:
             from repro.audit.auditor import harness_audit
@@ -515,36 +449,3 @@ class ProtocolEngine:
                 s_min=cfg.s_min,
                 obs=self.obs,
             )
-
-    # -- convenience accessors -----------------------------------------------
-
-    @property
-    def round_number(self) -> int:
-        """Rounds executed so far."""
-        return self._round
-
-    def governor(self, gid: str) -> Governor:
-        """Agent lookup helper."""
-        return self.governors[gid]
-
-    def ledgers(self) -> list:
-        """Every governor's ledger replica (for property checks)."""
-        return [g.ledger for g in self.governors.values()]
-
-    def collector_masses(self) -> dict[str, float]:
-        """Each collector's reputation mass (mean over governors).
-
-        Same contract as
-        :meth:`repro.core.netengine.NetworkedProtocolEngine.collector_masses`
-        — the reputation-weighted shard-assignment signal, exposed on
-        both engines so sharding analyses can use either.
-        """
-        totals: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        for governor in self.governors.values():
-            book = governor.book
-            for cid in book.collectors():
-                mass = float(sum(book.vector(cid).provider_weights.values()))
-                totals[cid] = totals.get(cid, 0.0) + mass
-                counts[cid] = counts.get(cid, 0) + 1
-        return {cid: totals[cid] / counts[cid] for cid in sorted(totals)}

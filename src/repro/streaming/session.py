@@ -1,7 +1,7 @@
 """Streaming protocol session: lazy provider lifecycle over virtual populations.
 
-:class:`StreamingSession` executes the same four-phase round the
-in-process :class:`~repro.core.protocol.ProtocolEngine` runs — collect,
+:class:`StreamingSession` executes the four-phase round of the
+in-process :class:`~repro.core.protocol.ProtocolEngine` — collect,
 upload, screen/pack, argue — but its provider population is a
 :class:`~repro.streaming.universe.VirtualUniverse`: a provider agent is
 **instantiated on first arrival** (key enrolment, link registration,
@@ -14,18 +14,26 @@ sparse reputation books
 :class:`~repro.streaming.universe.CollectorMembers`) make the governor
 side equally lazy.
 
-What deliberately differs from the materialized engine:
+The session *is* the engine's round
+(:class:`~repro.core.protocol.ProtocolEngine` subclass); it overrides
+only what the virtual population changes:
 
-* arrivals exceeding ``b_limit`` spill into a FIFO **backlog** drained
-  in later rounds (open-loop offered load vs. the engine's hard
-  ``ConfigurationError``);
-* per-round **reward distribution is skipped** — ``log_score`` walks a
-  collector's full membership, which is O(universe) here; rewards can
-  be computed offline from the books;
-* retirement saves only the provider's signing nonce: a retired
-  provider is *inactive* in the paper's sense (the Validity property
-  does not quantify over it), and any still-unchecked truth it leaves
-  behind is revealed at :meth:`finalize` exactly as the engine does.
+* ``_enroll`` — collectors and governors up front (sparse streaming
+  books), provider keys drawn lazily at first arrival;
+* ``_admit`` — arrivals exceeding ``b_limit`` spill into a FIFO
+  **backlog** drained in later rounds (open-loop offered load vs. the
+  engine's hard ``ConfigurationError``);
+* ``_instantiate`` — provider lookup materializes the agent on arrival
+  and resets its idle clock;
+* ``_close_round`` — idle providers are **retired** at round end, and
+  the per-round **reward distribution is skipped** (``log_score`` walks
+  a collector's full membership, which is O(universe) here; rewards can
+  be computed offline from the books).
+
+Retirement saves only the provider's signing nonce: a retired provider
+is *inactive* in the paper's sense (the Validity property does not
+quantify over it), and any still-unchecked truth it leaves behind is
+revealed at :meth:`finalize` exactly as the engine does.
 
 Identity keys are stable across retire/re-arrive cycles (the Identity
 Manager keeps the enrolment record), so old signatures keep verifying.
@@ -36,24 +44,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.agents.behaviors import CollectorBehavior, HonestBehavior
-from repro.agents.collector import Collector
+from repro.agents.behaviors import CollectorBehavior
 from repro.agents.governor import Governor
 from repro.agents.provider import Provider
-from repro.audit import config as audit_config
-from repro.consensus.pos import LeaderElection
-from repro.consensus.stake import StakeLedger
 from repro.core.params import ProtocolParams
-from repro.crypto.identity import IdentityManager, Role
+from repro.core.protocol import EngineMetrics, ProtocolEngine
 from repro.exceptions import ConfigurationError
 from repro.ledger.block import Block
-from repro.ledger.properties import RunTranscript
-from repro.ledger.store import BlockStore
-from repro.ledger.transaction import LabeledTransaction, TxRecord
-from repro.ledger.validation import CountingOracle, GroundTruthOracle
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.streaming.universe import VirtualUniverse, parse_provider_index
 from repro.streaming.workload import StreamingWorkload
 from repro.workloads.generator import TxSpec
@@ -93,27 +91,22 @@ def stream_metrics(registry: MetricsRegistry) -> dict[str, object]:
 
 
 @dataclass
-class StreamMetrics:
+class StreamMetrics(EngineMetrics):
     """Run-level streaming counters (plain numbers; obs mirrors them)."""
 
-    rounds: int = 0
-    transactions: int = 0
     instantiations: int = 0
     reinstantiations: int = 0
     retirements: int = 0
     peak_active: int = 0
     peak_backlog: int = 0
-    argues_admitted: int = 0
+
+    @property
+    def transactions(self) -> int:
+        """Workload transactions packed into rounds."""
+        return self.transactions_offered
 
 
-@dataclass
-class _RetiredState:
-    """What survives a provider's retirement: its signing continuity."""
-
-    nonce: int
-
-
-class StreamingSession:
+class StreamingSession(ProtocolEngine):
     """Open-loop streaming execution over a virtual provider population.
 
     Args:
@@ -134,8 +127,9 @@ class StreamingSession:
         leader_rotation: Round-robin leaders (default here — streaming
             benches measure workload scaling, not the VRF); ``False``
             restores the PoS election with unit stake.
-        obs: Optional metrics registry (``stream_*`` family; see
-            OBSERVABILITY.md).  Never touches RNG or control flow.
+        obs: Optional metrics registry (``engine_*`` and ``stream_*``
+            families; see OBSERVABILITY.md).  Never touches RNG or
+            control flow.
     """
 
     def __init__(
@@ -154,127 +148,95 @@ class StreamingSession:
                 f"retirement_rounds must be >= 1 or None, got {retirement_rounds}"
             )
         self.universe = universe
-        self.params = params
         self.workload = workload
-        self.seed = seed
         self.retirement_rounds = retirement_rounds
-        self.leader_rotation = leader_rotation
-        self.obs = obs if obs is not None else NULL_REGISTRY
-        self.im = IdentityManager(seed=seed, obs=self.obs)
-        self.oracle = GroundTruthOracle()
-        self.transcript = RunTranscript()
-        self.store = BlockStore()
+        # The universe stands in for the engine's topology: it answers
+        # the same collectors / governors / m / r queries.
+        super().__init__(
+            universe,
+            params,
+            behaviors=behaviors,
+            seed=seed,
+            leader_rotation=leader_rotation,
+            obs=obs,
+            sparse_reputation=True,
+        )
         self.metrics = StreamMetrics()
-        self.audit_report = None
-        self._round = 0
         self._backlog: deque[TxSpec] = deque()
-        self._reevaluated_queue: dict[str, TxRecord] = {}
-        self._master = np.random.default_rng(seed)
         self._m = stream_metrics(self.obs)
         self._m_inst_first = self._m["instantiated"].labels(kind="first")
         self._m_inst_re = self._m["instantiated"].labels(kind="rearrival")
-
-        behaviors = dict(behaviors or {})
-        unknown = set(behaviors) - set(universe.collectors)
-        if unknown:
-            raise ConfigurationError(
-                f"behaviours supplied for unknown collectors: {sorted(unknown)}"
-            )
-
-        members = universe.collector_members()
-        # Enrolment order mirrors the materialized engine minus the
-        # up-front provider sweep: collectors first, then governors;
-        # provider keys are drawn lazily at first arrival.
-        self.collectors: dict[str, Collector] = {}
-        for cid in universe.collectors:
-            key = self.im.enroll(cid, Role.COLLECTOR)
-            self.collectors[cid] = Collector(
-                collector_id=cid,
-                key=key,
-                linked_providers=members[cid],
-                behavior=behaviors.get(cid, HonestBehavior()),
-                rng=np.random.default_rng(self._master.integers(2**63)),
-            )
-        self.governors: dict[str, Governor] = {}
-        for gid in universe.governors:
-            key = self.im.enroll(gid, Role.GOVERNOR)
-            gov = Governor(
-                governor_id=gid,
-                key=key,
-                params=params,
-                im=self.im,
-                oracle=CountingOracle(inner=self.oracle),
-                rng=np.random.default_rng(self._master.integers(2**63)),
-                obs=self.obs,
-            )
-            gov.register_streaming(dict(members))
-            self.governors[gid] = gov
-
-        self.election = LeaderElection(
-            im=self.im, governor_order=list(universe.governors)
-        )
-        self.stake = StakeLedger.from_balances(
-            {g: 1 for g in universe.governors}
-        )
-        # Active provider agents and their idle clocks.
-        self.providers: dict[str, Provider] = {}
+        # Idle clocks of the active providers, and the signing nonces
+        # that survive a provider's retirement.
         self._last_seen: dict[str, int] = {}
-        self._retired: dict[str, _RetiredState] = {}
-        self._linked_registered: set[str] = set()
+        self._retired_nonces: dict[str, int] = {}
 
-    # -- provider lifecycle ----------------------------------------------
+    # -- overrides of the engine's round ------------------------------------
+
+    def _enroll(self, behaviors, abusive) -> None:
+        """Collectors, then governors; provider keys are drawn at first arrival."""
+        members = self.universe.collector_members()
+        self._enroll_agents(
+            members,
+            self.universe.governors,
+            behaviors,
+            lambda governor: governor.register_streaming(members),
+        )
+
+    def _admit(self, specs: list[TxSpec] | None) -> list[TxSpec]:
+        """Arrivals join the FIFO backlog; the round packs what fits."""
+        if specs:
+            self.offer(list(specs))
+        budget = self.params.b_limit - len(self._reevaluated_queue)
+        batch = [self._backlog.popleft() for _ in range(min(budget, len(self._backlog)))]
+        self._m["backlog"].set(float(len(self._backlog)))
+        self._m["tx"].inc(len(batch))
+        return batch
 
     def _instantiate(self, pid: str) -> Provider:
-        """Materialize a virtual provider on arrival (idempotent)."""
+        """Materialize a virtual provider on arrival and reset its idle clock."""
         provider = self.providers.get(pid)
-        if provider is not None:
-            return provider
-        k = parse_provider_index(pid)
-        if k is None or not self.universe.contains_provider(pid):
-            raise ConfigurationError(
-                f"provider {pid!r} is outside the registered universe"
-            )
-        linked = self.universe.collectors_of_index(k)
-        retired = self._retired.pop(pid, None)
-        if retired is None and pid not in self._linked_registered:
-            key = self.im.enroll(pid, Role.PROVIDER)
-            for cid in linked:
-                self.im.register_link(cid, pid)
-            self._linked_registered.add(pid)
-            self.metrics.instantiations += 1
-            self._m_inst_first.inc()
-        else:
-            # Re-arrival: the enrolment record (and its key) persists in
-            # the Identity Manager, so old signatures keep verifying.
-            key = self.im.record(pid).key
-            self.metrics.reinstantiations += 1
-            self._m_inst_re.inc()
-        provider = Provider(provider_id=pid, key=key, linked_collectors=linked)
-        if retired is not None:
-            provider._nonce = retired.nonce
-        self.providers[pid] = provider
-        for gov in self.governors.values():
-            gov.link_provider(pid, linked)
-        self.metrics.peak_active = max(self.metrics.peak_active, len(self.providers))
-        self._m["active"].set(float(len(self.providers)))
+        if provider is None:
+            k = parse_provider_index(pid)
+            if k is None or not self.universe.contains_provider(pid):
+                raise ConfigurationError(
+                    f"provider {pid!r} is outside the registered universe"
+                )
+            linked = self.universe.collectors_of_index(k)
+            rearrival = self.im.is_enrolled(pid)
+            provider = self._enroll_provider(pid, linked)
+            if rearrival:
+                provider._nonce = self._retired_nonces.pop(pid)
+                self.metrics.reinstantiations += 1
+                self._m_inst_re.inc()
+            else:
+                for cid in linked:
+                    self.im.register_link(cid, pid)
+                self.metrics.instantiations += 1
+                self._m_inst_first.inc()
+            for gov in self.governors.values():
+                gov.link_provider(pid, linked)
+            self.metrics.peak_active = max(self.metrics.peak_active, len(self.providers))
+            self._m["active"].set(float(len(self.providers)))
+        self._last_seen[pid] = self._round
         return provider
 
-    def _retire_idle(self, round_number: int) -> None:
-        if self.retirement_rounds is None:
-            return
-        cutoff = round_number - self.retirement_rounds
-        for pid in [
-            p for p, seen in self._last_seen.items() if seen <= cutoff
-        ]:
-            provider = self.providers.pop(pid)
-            self._retired[pid] = _RetiredState(nonce=provider._nonce)
-            del self._last_seen[pid]
-            self.store.forget_reader(pid)
-            for gov in self.governors.values():
-                gov.unlink_provider(pid)
-            self.metrics.retirements += 1
-            self._m["retired"].inc()
-        self._m["active"].set(float(len(self.providers)))
+    def _close_round(self, leader: Governor) -> dict[str, float]:
+        """Retire idle providers; no rewards (``log_score`` is O(universe))."""
+        if self.retirement_rounds is not None:
+            cutoff = self._round - self.retirement_rounds
+            for pid in [p for p, seen in self._last_seen.items() if seen <= cutoff]:
+                self._retired_nonces[pid] = self.providers.pop(pid)._nonce
+                del self._last_seen[pid]
+                self.store.forget_reader(pid)
+                for gov in self.governors.values():
+                    gov.unlink_provider(pid)
+                self.metrics.retirements += 1
+                self._m["retired"].inc()
+            self._m["active"].set(float(len(self.providers)))
+        return {}
+
+    # -- driving -------------------------------------------------------------
 
     @property
     def active_providers(self) -> int:
@@ -286,103 +248,20 @@ class StreamingSession:
         """Arrived transactions still awaiting a block slot."""
         return len(self._backlog)
 
-    # -- round execution --------------------------------------------------
-
     def offer(self, specs: list[TxSpec]) -> None:
         """Queue arrived transactions (open-loop: never rejects)."""
         self._backlog.extend(specs)
         self.metrics.peak_backlog = max(self.metrics.peak_backlog, len(self._backlog))
         self._m["backlog"].set(float(len(self._backlog)))
 
-    def run_round(self, specs: list[TxSpec] | None = None):
+    def run_round(self, specs: list[TxSpec] | None = None) -> Block:
         """Execute one streaming round.
 
         ``specs`` (or the workload's per-round arrivals when driven via
         :meth:`run`) join the backlog; the round packs at most
         ``b_limit`` minus the re-evaluated queue.
         """
-        if specs:
-            self.offer(list(specs))
-        self._round += 1
-        round_number = self._round
-        budget = self.params.b_limit - len(self._reevaluated_queue)
-        batch = [self._backlog.popleft() for _ in range(min(budget, len(self._backlog)))]
-        self._m["backlog"].set(float(len(self._backlog)))
-        m = self.universe.m
-
-        # Phase 1: collecting — instantiating arrivals as needed.
-        timestamp = float(round_number)
-        deliveries: list[tuple[str, object]] = []
-        for spec in batch:
-            provider = self._instantiate(spec.provider)
-            self._last_seen[spec.provider] = round_number
-            tx = provider.create_transaction(spec.payload, timestamp)
-            self.oracle.assign(tx, spec.is_valid)
-            self.transcript.provider_broadcasts.add(tx.tx_id)
-            if spec.is_valid and provider.active:
-                self.transcript.honest_valid_tx.add(tx.tx_id)
-            for cid in provider.linked_collectors:
-                deliveries.append((cid, tx))
-
-        # Phase 2: uploading.
-        uploads: list[LabeledTransaction] = []
-        for cid, tx in deliveries:
-            collector = self.collectors[cid]
-            for labeled in collector.process_all(tx, self.oracle):
-                uploads.append(labeled)
-                self.transcript.collector_uploads.add(tx.tx_id)
-        for collector in self.collectors.values():
-            forged = collector.maybe_forge(timestamp)
-            if forged is not None:
-                uploads.append(forged)
-
-        # Phase 3: processing — every governor screens; the leader packs.
-        leader_id = self._elect_leader(round_number)
-        leader = self.governors[leader_id]
-        leader_records: list[TxRecord] = []
-        for gid, governor in self.governors.items():
-            for upload in uploads:
-                governor.ingest_upload(upload)
-            records = governor.screen_pending()
-            if gid == leader_id:
-                leader_records = records
-        block_records = list(self._reevaluated_queue.values()) + leader_records
-        self._reevaluated_queue.clear()
-        block = Block(
-            serial=self.store.height + 1,
-            tx_list=tuple(block_records),
-            prev_hash=leader.ledger.tip_hash(),
-            proposer=leader_id,
-            round_number=round_number,
-            b_limit=self.params.b_limit,
-        )
-        for governor in self.governors.values():
-            governor.ledger.append(block)
-        self.store.publish(block)
-
-        # Phase 4: arguing — only instantiated (active) providers scan.
-        argues_admitted = 0
-        for provider in self.providers.values():
-            fresh = self.store.next_for(provider.provider_id)
-            while fresh is not None:
-                for tx_id in provider.review_block(fresh, self.oracle):
-                    self.transcript.argue_calls.add(tx_id)
-                    admitted_record: TxRecord | None = None
-                    for governor in self.governors.values():
-                        record = governor.handle_argue(tx_id)
-                        if record is not None:
-                            admitted_record = record
-                    if admitted_record is not None:
-                        argues_admitted += 1
-                        self._reevaluated_queue[tx_id] = admitted_record
-                fresh = self.store.next_for(provider.provider_id)
-
-        self._retire_idle(round_number)
-        self.metrics.rounds += 1
-        self.metrics.transactions += len(batch)
-        self.metrics.argues_admitted += argues_admitted
-        self._m["tx"].inc(len(batch))
-        return block
+        return super().run_round(specs).block
 
     def run(self, rounds: int) -> None:
         """Drive ``rounds`` rounds from the configured workload's arrivals."""
@@ -391,24 +270,14 @@ class StreamingSession:
         for _ in range(rounds):
             self.run_round(self.workload.for_round(self._round + 1))
 
-    def _elect_leader(self, round_number: int) -> str:
-        order = list(self.universe.governors)
-        if self.leader_rotation:
-            return order[(round_number - 1) % len(order)]
-        return self.election.run(self.stake, round_number)
-
-    # -- finalisation ------------------------------------------------------
-
     def finalize(self) -> None:
-        """Reveal pending truths, sample peak RSS, run the harness audit.
+        """Reveal pending truths and run the harness audit, then sample peak RSS.
 
         The audit checks cross-replica agreement and the Theorem-1
         regret guardrail; neither walks the reputation books, so the
         cost is independent of the universe size.
         """
-        for governor in self.governors.values():
-            for tx_id in list(governor._pending_unchecked):
-                governor.reveal_truth(tx_id, self.oracle)
+        super().finalize()
         import resource
         import sys
 
@@ -416,31 +285,6 @@ class StreamingSession:
         # ru_maxrss is bytes on macOS, kilobytes on Linux.
         scale = 1 if sys.platform == "darwin" else 1024
         self._m["peak_rss"].set(float(rss_kb * scale))
-        cfg = audit_config.get_config()
-        if cfg.enabled:
-            from repro.audit.auditor import harness_audit
-
-            self.audit_report = harness_audit(
-                "streaming-harness",
-                self.ledgers(),
-                list(self.governors.values()),
-                r=self.universe.r,
-                beta=self.params.beta,
-                round_number=self._round,
-                s_min=cfg.s_min,
-                obs=self.obs,
-            )
-
-    # -- accessors ---------------------------------------------------------
-
-    @property
-    def round_number(self) -> int:
-        """Rounds executed so far."""
-        return self._round
-
-    def ledgers(self) -> list:
-        """Every governor's ledger replica (for property checks)."""
-        return [g.ledger for g in self.governors.values()]
 
     def touched_rows(self) -> int:
         """Total sparse-override entries across all books (memory proxy)."""

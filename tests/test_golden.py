@@ -27,7 +27,10 @@ from repro.crypto.hashing import hash_value
 from repro.crypto.signatures import SigningKey, sign
 from repro.crypto.vrf import vrf_evaluate
 from repro.network import Topology
+from repro.storage.checkpoints import reputation_digest
+from repro.streaming import StreamingSession, StreamingWorkload, VirtualUniverse
 from repro.workloads import BernoulliWorkload
+from repro.workloads.arrivals import PoissonArrivals
 
 # -- protocol-run goldens ----------------------------------------------------
 
@@ -50,6 +53,65 @@ def test_golden_protocol_block_hashes():
     workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=5678)
     hashes = [engine.run_round(workload.take(8)).block.hash().hex() for _ in range(3)]
     assert hashes == GOLDEN_BLOCK_HASHES
+
+
+# -- streaming-session goldens -------------------------------------------------
+
+# leader_rotation -> (rounds, tip hash, reputation digest over the governors'
+# books, (instantiations, re-arrivals, retirements, peak backlog)).
+GOLDEN_STREAMING = {
+    True: (
+        14,
+        "ffc09ac6533d1628d69547df0562fb1078f235134b65340ead33d938a2855ddd",
+        "034b81bc32b35db65165409f8831a99fe810daecdc0c7f8178277e5df763ee36",
+        (49, 30, 68, 28),
+    ),
+    False: (
+        15,
+        "f52f5394ac987bd82a617be7aabae9546918955ff02ba46c6e3a384b32b16b95",
+        "2196a4935d9604050bed9a63851bb62f5e76f72ec19a3693a7cb029c33d17b75",
+        (49, 31, 73, 28),
+    ),
+}
+
+
+@pytest.mark.parametrize("leader_rotation", [True, False])
+def test_golden_streaming_session(leader_rotation):
+    """A seeded virtual-universe session reproduces its chain and books.
+
+    Poisson arrivals at 10 per round against ``b_limit=8`` spill into
+    the backlog, a two-round idle window retires providers that the
+    uniform selection later brings back, and c0/c1 misreport and
+    conceal; the session is flushed until the backlog is empty.
+    """
+    universe = VirtualUniverse(universe=64, n=4, m=3, r=2)
+    workload = StreamingWorkload(
+        universe,
+        arrivals=PoissonArrivals(10.0, seed=21),
+        selection="uniform",
+        seed=21,
+        p_valid=0.75,
+    )
+    session = StreamingSession(
+        universe,
+        ProtocolParams(f=0.5, b_limit=8),
+        workload=workload,
+        behaviors={"c0": MisreportBehavior(0.6), "c1": ConcealBehavior(0.6)},
+        seed=21,
+        retirement_rounds=2,
+        leader_rotation=leader_rotation,
+    )
+    session.run(12)
+    while session.backlog_depth:
+        session.run_round()
+    session.finalize()
+    rounds, tip, digest, lifecycle = GOLDEN_STREAMING[leader_rotation]
+    m = session.metrics
+    assert session.round_number == session.store.height == rounds
+    assert all(ledger.tip_hash().hex() == tip for ledger in session.ledgers())
+    books = {gid: gov.book for gid, gov in session.governors.items()}
+    assert reputation_digest(books).hex() == digest
+    assert (m.instantiations, m.reinstantiations, m.retirements, m.peak_backlog) == lifecycle
 
 
 # -- reputation-game goldens ---------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.params import ProtocolParams
 from repro.exceptions import ConfigurationError
+from repro.faults import FaultPlan, LinkFaultSpec
 from repro.ledger.properties import check_all_properties
 from repro.network.topology import Topology
 from repro.sharding import (
@@ -262,3 +263,38 @@ class TestMigration:
             masses.update(engine.collector_masses())
         assert sorted(masses) == sorted(coordinator.collector_shard)
         assert all(v >= 0.0 for v in masses.values())
+
+    def test_feed_in_flight_to_migrated_collector_is_dropped(self):
+        # A reshuffle releases collector c2 from shard 0 while a
+        # retransmitted or duplicated feed frame to it is still in
+        # flight; the frame must be dropped (the provider's other linked
+        # collectors still deliver the transaction), not raise KeyError.
+        sharded = Topology.sharded(l=24, n=8, m=8, r=2, shards=2, seed=1003)
+        coordinator = ShardCoordinator(
+            sharded,
+            ProtocolParams(f=0.5, delta=0.2, b_limit=16),
+            seed=1003,
+            epoch_rounds=4,
+            resilience=True,
+        )
+        for k in range(2):
+            plan = FaultPlan(seed=1103 + k).with_default_link(
+                LinkFaultSpec(loss=0.02, duplicate=0.05)
+            )
+            if k == 0:
+                plan.with_crash(sharded.shards[0].governors[-1], at=0.8, recover_at=1.6)
+            coordinator.install_faults(k, plan)
+        providers = [p for topo in sharded.shards for p in topo.providers]
+        workload = CrossShardWorkload(
+            BernoulliWorkload(providers, p_valid=0.8, seed=1004),
+            sharded.provider_shard,
+            p_cross=0.15,
+            seed=1005,
+        )
+        for _ in range(6):
+            coordinator.submit(workload.take(32))
+            coordinator.run_super_round()
+        assert any(moves for _, _, moves in coordinator.reshuffle_log)
+        for engine in coordinator.engines:
+            ledgers = engine.ledgers()
+            assert all(ledger.height == ledgers[0].height for ledger in ledgers)
