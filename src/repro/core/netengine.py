@@ -599,10 +599,10 @@ class NetworkedProtocolEngine(RoundKernel):
     def inject_receipts(self, receipts: Sequence) -> None:
         """Fan relayed cross-shard receipts out to every governor.
 
-        The barrier-time injection point of the shard executors: a
-        :class:`~repro.parallel.SerialBackend` calls it directly and a
-        :class:`~repro.parallel.ParallelBackend` worker calls it when a
-        pickled relay batch arrives over its command pipe.  Receipts are
+        The barrier-time injection point of the shard executors:
+        :meth:`~repro.parallel.ShardHost.relay` calls it, in-process or
+        in a worker process when a pickled relay batch arrives over its
+        command pipe.  Receipts are
         sent from the relay endpoint to the **full** governor set (so a
         relay survives any single governor crash) in batch order —
         latency draws consume this engine's network RNG in exactly the

@@ -1,14 +1,16 @@
-"""Multi-core shard execution: pluggable backends for the shard driver.
+"""Multi-core shard execution: one shard host, run in-process or in workers.
 
 The :class:`~repro.sharding.ShardCoordinator` drives its shard engines
-through a narrow :class:`ShardExecutionBackend` protocol with two
-implementations:
+through :class:`ShardHost`, which owns the engines of a set of shards
+on one simulator clock and defines every shard operation once:
 
-* :class:`SerialBackend` — every engine in-process on one shared
-  simulator (the original coordinator execution model, bit-for-bit);
-* :class:`ParallelBackend` — one engine per shard in spawned worker
-  processes, synchronized at the ``begin_round`` / ``begin_argue`` /
-  ``complete_round`` phase barriers, receipts batched over pipes.
+* the serial backend is one :class:`ShardHost` over every shard,
+  in-process (the original coordinator execution model, bit for bit);
+* :class:`ParallelBackend` spawns worker processes that each serve a
+  :class:`ShardHost` over their round-robin shards, and only scatters
+  each phase command and gathers the replies at the ``begin_round`` /
+  ``begin_argue`` / ``complete_round`` barriers, receipts batched over
+  pipes.
 
 Both produce bit-identical ledgers for the same seed; the parallel
 backend turns E14's sim-time shard scaling into *wall-clock* scaling
@@ -16,9 +18,8 @@ on multi-core hosts (benchmark E16).
 """
 
 from repro.parallel.backend import (
-    SerialBackend,
     ShardChainStats,
-    ShardExecutionBackend,
+    ShardHost,
     ShardRoundInfo,
     ShardScan,
     build_shard_engine,
@@ -28,8 +29,7 @@ from repro.parallel.pool import ParallelBackend, parallel_metrics
 from repro.parallel.worker import WorkerInit, worker_main
 
 __all__ = [
-    "ShardExecutionBackend",
-    "SerialBackend",
+    "ShardHost",
     "ParallelBackend",
     "ShardRoundInfo",
     "ShardScan",

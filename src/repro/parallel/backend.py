@@ -1,45 +1,44 @@
-"""The pluggable shard execution surface and its in-process backend.
+"""The shard host: every shard operation, written once.
 
 :class:`~repro.sharding.ShardCoordinator` is split into a *driver*
 (workload routing, receipt bookkeeping, auditing, epoch reshuffles) and
-an *execution backend* that actually runs the ``S`` protocol engines
-through the phase-split round API.  :class:`ShardExecutionBackend` is
-the narrow protocol between the two — the thin-Protocol-over-richer-
-engine idiom: the driver only ever speaks in phase commands and plain
-picklable results, so the same driver logic runs against
+an execution layer that actually runs the ``S`` protocol engines
+through the phase-split round API.  :class:`ShardHost` is that layer:
+it owns the engines for a set of global shard indices, all on **one**
+:class:`~repro.network.simnet.Simulator`, and defines each phase
+command once.  The driver only ever speaks in those commands and plain
+picklable results, so the same host runs
 
-* :class:`SerialBackend` — all engines in this process on one shared
-  :class:`~repro.network.simnet.Simulator` (the original coordinator
-  behaviour, bit-for-bit), and
-* :class:`~repro.parallel.pool.ParallelBackend` — one engine per shard
-  in spawned worker processes, synchronized at the phase barriers over
-  command pipes.
+* in-process over all shards — the serial backend, the original
+  coordinator execution model bit for bit — and
+* inside each spawned worker process over that worker's round-robin
+  shards, behind :class:`~repro.parallel.pool.ParallelBackend`, which
+  only scatters the commands and gathers the replies.
 
-Every value that crosses the interface (specs in, drain targets,
+Every value that crosses the surface (specs in, drain targets,
 round summaries, scan events, receipts) is picklable by construction;
-nothing in the driver ever holds a live engine reference through this
-interface, which is exactly what makes the process-pool backend a
-drop-in.
+nothing in the driver ever holds a live engine reference through it,
+which is exactly what makes the process pool a drop-in.
 
 **Why parallel == serial, bit for bit.**  Shard engines are sovereign:
 each owns its network, broadcast fabric, identity manager, RNG streams,
-and ledger family.  In the serial coordinator they share only the
-simulator *clock*, and every phase ends with the clock parked at the
-barrier maximum (``Simulator.run(until=...)`` always parks).  Since the
-shared simulator's own RNG is never consumed, a shard's event stream
-depends only on (a) its own seeded state and (b) the barrier times —
-so a worker that runs the same engine on a private clock, advanced to
-the same barrier targets, reproduces the exact event history.  The one
-cross-shard interaction — receipt relays — happens only while the
-clock is parked between super-rounds, and the driver preserves the
-per-remote-shard relay order, so each remote network's latency-RNG
-draw sequence is unchanged.
+and ledger family.  Engines on one host share only the simulator
+*clock*, and every phase ends with the clock parked at the barrier
+maximum (``Simulator.run(until=...)`` always parks).  Since the shared
+simulator's own RNG is never consumed, a shard's event stream depends
+only on (a) its own seeded state and (b) the barrier times — so a
+worker's host, whose clock is advanced to the same barrier targets,
+reproduces the exact event history of every engine it hosts, however
+the shards are split among hosts.  The one cross-shard interaction —
+receipt relays — happens only while the clock is parked between
+super-rounds, and the driver preserves the per-remote-shard relay
+order, so each remote network's latency-RNG draw sequence is unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.ledger.properties import check_all_properties
@@ -51,8 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports)
     from repro.core.netengine import NetworkedProtocolEngine
 
 __all__ = [
-    "ShardExecutionBackend",
-    "SerialBackend",
+    "ShardHost",
     "ShardRoundInfo",
     "ShardScan",
     "ShardChainStats",
@@ -65,10 +63,10 @@ __all__ = [
 class ShardRoundInfo:
     """Picklable outcome of one shard's round, as the driver sees it.
 
-    The parallel backend returns these instead of full
+    Both backends return these instead of full
     :class:`~repro.core.netengine.NetworkedRoundResult` objects — the
     driver needs the summary (and ``carryover`` for next round's spec
-    budget), not the block body, which stays worker-side.
+    budget), not the block body, which stays with the engine.
     """
 
     shard: int
@@ -117,63 +115,6 @@ class ShardChainStats:
     properties_hold: bool
 
 
-class ShardExecutionBackend(Protocol):
-    """What a shard driver needs from an execution substrate — no more.
-
-    One round trip per phase; all arguments and results picklable.  The
-    driver calls, in super-round order: :meth:`relay` (retries),
-    :meth:`carryover`, :meth:`begin_round`, :meth:`run_until`,
-    :meth:`begin_argue`, :meth:`run_until`, :meth:`complete_round`,
-    :meth:`scan_commits`, :meth:`relay` (first sends) — then, on epoch
-    boundaries, :meth:`collector_masses` / :meth:`release_collectors` /
-    :meth:`adopt_collectors`.
-    """
-
-    @property
-    def num_shards(self) -> int: ...
-
-    @property
-    def kind(self) -> str: ...
-
-    def carryover(self) -> list[int]: ...
-
-    def begin_round(self, specs: Sequence[Sequence[TxSpec]]) -> list[float]: ...
-
-    def run_until(self, until: float) -> None: ...
-
-    def begin_argue(self) -> list[float]: ...
-
-    def complete_round(self) -> list: ...
-
-    def scan_commits(self, cursors: Sequence[int]) -> list[ShardScan]: ...
-
-    def relay(self, batches: Mapping[int, Sequence]) -> None: ...
-
-    def repair_scan(self, shard: int) -> bool: ...
-
-    def collector_masses(self) -> dict[str, float]: ...
-
-    def release_collectors(
-        self, by_shard: Mapping[int, Sequence[str]]
-    ) -> dict[str, tuple[tuple[str, ...], object]]: ...
-
-    def adopt_collectors(
-        self, assignments: Sequence[tuple[int, str, tuple[str, ...], object]]
-    ) -> None: ...
-
-    def install_faults(self, shard: int, plan, tamperer=None): ...
-
-    def tip_hashes(self) -> list[str]: ...
-
-    def chain_stats(self) -> list[ShardChainStats]: ...
-
-    def finalize_engines(self) -> None: ...
-
-    def now(self) -> float: ...
-
-    def close(self) -> None: ...
-
-
 def build_shard_engine(
     shard: int,
     topology,
@@ -193,7 +134,7 @@ def build_shard_engine(
     Single source of truth for the per-shard derived seed
     (``seed + 7919 * (k + 1)``), the behaviour filtering, and the relay
     enrolment order — any divergence here would break serial/parallel
-    bit-identity, so both backends call this one function.
+    bit-identity.
     """
     from repro.core.netengine import NetworkedProtocolEngine
 
@@ -268,7 +209,7 @@ def scan_shard_commits(
 def shard_chain_stats(
     engine: "NetworkedProtocolEngine", shard: int
 ) -> ShardChainStats:
-    """Reporting summary of one shard engine (shared by both backends)."""
+    """Reporting summary of one shard engine."""
     origin = cross_out = receipts_in = 0
     for serial in range(1, engine.store.height + 1):
         for record in engine.store.retrieve(serial).tx_list:
@@ -291,14 +232,18 @@ def shard_chain_stats(
     )
 
 
-class SerialBackend:
-    """All shard engines in-process on one shared simulator clock.
+class ShardHost:
+    """The engines of a set of global shard indices on one clock.
 
-    The original :class:`~repro.sharding.ShardCoordinator` execution
-    model, factored behind :class:`ShardExecutionBackend`.  Seeded runs
-    are bit-identical to pre-split builds: engine construction order,
-    per-shard seeds, relay enrolment, and the per-remote receipt-relay
-    order are all unchanged.
+    Every method below is one shard operation, defined here only: the
+    serial backend is a host over all shards, and each parallel worker
+    serves a host over its shards, dispatching pipe commands by method
+    name.  Per-shard arguments are indexed by *global* shard (a list
+    over all shards, or a shard-keyed mapping that may name only some
+    of them); per-shard results are lists in this host's shard order.
+    Seeded runs are bit-identical to pre-split builds: engine
+    construction order, per-shard seeds, relay enrolment, and the
+    per-remote receipt-relay order are all unchanged.
     """
 
     kind = "serial"
@@ -315,17 +260,20 @@ class SerialBackend:
         obs=None,
         audit=None,
         storage: Sequence[object | None] | None = None,
+        shards: Sequence[int] | None = None,
     ):
-        self.topology = topology
+        #: Hosted global shard indices (default: every shard), in order.
+        self.shards = tuple(range(topology.num_shards) if shards is None else shards)
         self.provider_shard = dict(topology.provider_shard)
         self.sim = Simulator(seed=seed)
         if obs is not None:
             obs.bind_clock(lambda: self.sim.now)
         storage = list(storage) if storage is not None else [None] * topology.num_shards
+        #: Engines in :attr:`shards` order.
         self.engines: list = [
             build_shard_engine(
                 k,
-                shard_topo,
+                topology.shards[k],
                 params,
                 behaviors or {},
                 seed,
@@ -337,20 +285,17 @@ class SerialBackend:
                 sim=self.sim,
                 storage=storage[k],
             )
-            for k, shard_topo in enumerate(topology.shards)
+            for k in self.shards
         ]
+        self._engine = dict(zip(self.shards, self.engines))
         self._ctxs: list | None = None
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.engines)
 
     def carryover(self) -> list[int]:
         return [engine.carryover_depth() for engine in self.engines]
 
     def begin_round(self, specs: Sequence[Sequence[TxSpec]]) -> list[float]:
         self._ctxs = [
-            engine.begin_round(batch) for engine, batch in zip(self.engines, specs)
+            engine.begin_round(specs[k]) for k, engine in self._engine.items()
         ]
         return [ctx.drain_until for ctx in self._ctxs]
 
@@ -364,28 +309,38 @@ class SerialBackend:
             engine.begin_argue(ctx) for engine, ctx in zip(self.engines, self._ctxs)
         ]
 
-    def complete_round(self) -> list:
+    def complete_round(self) -> list[ShardRoundInfo]:
         if self._ctxs is None:
             raise ConfigurationError("complete_round before begin_round")
-        results = [
-            engine.complete_round(ctx)
-            for engine, ctx in zip(self.engines, self._ctxs)
-        ]
+        infos = []
+        for (k, engine), ctx in zip(self._engine.items(), self._ctxs):
+            result = engine.complete_round(ctx)
+            infos.append(
+                ShardRoundInfo(
+                    shard=k,
+                    round_number=result.round_number,
+                    leader=result.leader,
+                    block_serial=result.block.serial,
+                    block_size=len(result.block.tx_list),
+                    argues_sent=result.argues_sent,
+                    carryover=engine.carryover_depth(),
+                )
+            )
         self._ctxs = None
-        return results
+        return infos
 
     def scan_commits(self, cursors: Sequence[int]) -> list[ShardScan]:
         return [
             scan_shard_commits(engine, k, cursors[k], self.provider_shard)
-            for k, engine in enumerate(self.engines)
+            for k, engine in self._engine.items()
         ]
 
     def relay(self, batches: Mapping[int, Sequence]) -> None:
         for shard, receipts in batches.items():
-            self.engines[shard].inject_receipts(receipts)
+            self._engine[shard].inject_receipts(receipts)
 
     def repair_scan(self, shard: int) -> bool:
-        return self.engines[shard].recovery_lagging()
+        return self._engine[shard].recovery_lagging()
 
     def collector_masses(self) -> dict[str, float]:
         masses: dict[str, float] = {}
@@ -396,20 +351,29 @@ class SerialBackend:
     def release_collectors(
         self, by_shard: Mapping[int, Sequence[str]]
     ) -> dict[str, tuple[tuple[str, ...], object]]:
-        released: dict[str, tuple[tuple[str, ...], object]] = {}
-        for shard, cids in by_shard.items():
-            for cid in cids:
-                released[cid] = self.engines[shard].release_collector(cid)
-        return released
+        return {
+            cid: self._engine[shard].release_collector(cid)
+            for shard, cids in by_shard.items()
+            for cid in cids
+        }
 
     def adopt_collectors(
-        self, assignments: Sequence[tuple[int, str, tuple[str, ...], object]]
+        self, by_shard: Mapping[int, Sequence[tuple[str, tuple[str, ...], object]]]
     ) -> None:
-        for shard, cid, slots, behavior in assignments:
-            self.engines[shard].adopt_collector(cid, slots, behavior=behavior)
+        for shard, adoptions in by_shard.items():
+            for cid, slots, behavior in adoptions:
+                self._engine[shard].adopt_collector(cid, slots, behavior=behavior)
 
-    def install_faults(self, shard: int, plan, tamperer=None):
-        return self.engines[shard].install_faults(plan, tamperer=tamperer)
+    def install_faults(self, shard: int, plan, tamperer=None) -> None:
+        # The injector stays with its engine; read it via fault_stats().
+        self._engine[shard].install_faults(plan, tamperer=tamperer)
+
+    def fault_stats(self) -> dict[int, object]:
+        """Fault-injector stats by shard (None where no plan is installed)."""
+        return {
+            k: None if engine.injector is None else engine.injector.stats
+            for k, engine in self._engine.items()
+        }
 
     def tip_hashes(self) -> list[str]:
         tips = []
@@ -419,7 +383,7 @@ class SerialBackend:
         return tips
 
     def chain_stats(self) -> list[ShardChainStats]:
-        return [shard_chain_stats(engine, k) for k, engine in enumerate(self.engines)]
+        return [shard_chain_stats(engine, k) for k, engine in self._engine.items()]
 
     def finalize_engines(self) -> None:
         # The driver already ran the barrier-synchronized recovery drain

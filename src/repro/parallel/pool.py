@@ -1,12 +1,14 @@
 """Process-pool shard execution: spawned workers behind phase barriers.
 
-:class:`ParallelBackend` implements
-:class:`~repro.parallel.backend.ShardExecutionBackend` by hosting the
-``S`` shard engines in ``N`` spawned worker processes (shards assigned
-round-robin, so ``N`` may be smaller than ``S``).  Every phase of the
-super-round is one broadcast of pickled ``(op, payload)`` commands —
-one message per worker, receipts and specs batched inside it — followed
-by a barrier collect of the replies.
+:class:`ParallelBackend` hosts the ``S`` shard engines in ``N`` spawned
+worker processes (shards assigned round-robin, so ``N`` may be smaller
+than ``S``), each serving a :class:`~repro.parallel.backend.ShardHost`
+over its shards.  The backend itself runs no shard logic: each of its
+phase methods is one call into :meth:`ParallelBackend._fan`, which
+slices per-shard arguments by hosting worker, sends one pickled
+``(op, args)`` command per involved worker — receipts and specs
+batched inside it — collects the replies at a barrier, and reassembles
+them in global shard order.
 
 **Crash handling.**  A worker that dies (SIGKILL, OOM, bug) or hangs
 past the per-phase barrier timeout surfaces as a structured
@@ -16,12 +18,12 @@ same contract the in-process :class:`~repro.faults.FaultInjector` gives
 for simulated crashes, never a hung barrier.  With durable storage
 configured, :meth:`restart_worker` respawns the replacement from the
 same :class:`~repro.parallel.worker.WorkerInit`; its engines re-anchor
-from their on-disk checkpoints and any fault plans installed on its
-shards are re-applied to the replacement (crash semantics: the
-continuation is correct but not bit-identical — the fresh injector
-replays its plan's RNG from the start).
+from their on-disk checkpoints, its clock is advanced to the barrier
+clock, and any fault plans installed on its shards are re-applied
+(crash semantics: the continuation is correct but not bit-identical —
+the fresh injector replays its plan's RNG from the start).
 
-**Determinism.**  Workers advance private simulator clocks to the exact
+**Determinism.**  Worker hosts advance their clocks to the exact
 barrier targets the serial backend would use, and the driver preserves
 per-remote-shard receipt-relay order inside each batch, so a parallel
 run's ledgers are bit-identical to a serial run with the same seed (the
@@ -134,7 +136,6 @@ class ParallelBackend:
     ):
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.topology = topology
         self.obs = obs if obs is not None else NULL_REGISTRY
         self.phase_timeout = phase_timeout
         self._metrics = parallel_metrics(self.obs)
@@ -150,6 +151,17 @@ class ParallelBackend:
                 "collector behaviours must be picklable to cross the worker "
                 f"process boundary (workers={workers}): {exc}"
             ) from exc
+        host = dict(
+            topology=topology,
+            params=params,
+            behaviors=behaviors,
+            seed=seed,
+            min_delay=min_delay,
+            max_delay=max_delay,
+            resilience=resilience,
+            audit=audit,
+            storage=self._storage,
+        )
         num_workers = min(workers, topology.num_shards)
         #: shard index -> hosting worker index (round-robin).
         self.worker_for_shard = {
@@ -162,20 +174,7 @@ class ParallelBackend:
                 k for k in range(topology.num_shards)
                 if self.worker_for_shard[k] == w
             )
-            init = WorkerInit(
-                worker=w,
-                shards=shards,
-                topologies=tuple(topology.shards[k] for k in shards),
-                params=params,
-                behaviors=behaviors,
-                seed=seed,
-                min_delay=min_delay,
-                max_delay=max_delay,
-                resilience=resilience,
-                audit=audit,
-                provider_shard=dict(topology.provider_shard),
-                storage=tuple(self._storage[k] for k in shards),
-            )
+            init = WorkerInit(worker=w, shards=shards, host=host)
             self._workers.append(_WorkerHandle(w, shards, init))
         # Per-worker accumulated compute seconds this super-round.
         self._round_wall = [0.0] * num_workers
@@ -219,8 +218,9 @@ class ParallelBackend:
         chains and resume committing.  Without storage there is nothing
         to hand off, so the restart is refused.  Fault plans previously
         installed on the worker's shards are re-applied to the
-        replacement (fresh injectors, so each plan's RNG restarts from
-        its seed — the schedule stays seeded, not bit-continuous).
+        replacement once its clock is advanced to the barrier clock
+        (fresh injectors, so each plan's RNG restarts from its seed —
+        the schedule stays seeded, not bit-continuous).
         """
         handle = self._workers[worker]
         missing = [k for k in handle.shards if self._storage[k] is None]
@@ -236,14 +236,14 @@ class ParallelBackend:
             handle.conn.close()
         handle.alive = False
         self._spawn(handle)
+        # The replacement starts at t=0; move it to the barrier clock
+        # before anything is scheduled, so its blocks and fault events
+        # continue from the deployment's time rather than from zero.
+        self._call("run_until", {handle.index: (self._now,)})
         for shard in handle.shards:
             plan = self._fault_plans.get(shard)
             if plan is not None:
-                self._call(
-                    "install_faults",
-                    {handle.index: (shard, plan)},
-                    phase="install_faults",
-                )
+                self._fan("install_faults", shard, plan, shard=shard)
         self._metrics["restarts"].inc()
 
     def close(self) -> None:
@@ -320,26 +320,26 @@ class ParallelBackend:
             handle.index, handle.shards, phase, detail=detail, exitcode=exitcode
         )
 
-    def _call(self, op: str, payloads: Mapping[int, object], phase: str | None = None):
-        """Broadcast one op to the given workers, collect at the barrier.
+    def _call(self, op: str, calls: Mapping[int, tuple]) -> dict[int, object]:
+        """Send ``op`` to the given workers, collect at the barrier.
 
         Sends every command before reading any reply — workers compute
         concurrently — then drains replies in worker order, recording
         arrival skew (barrier wait) and per-worker compute seconds.
-        Returns ``{worker_index: result}``.
+        ``calls`` maps worker index to the op's arguments; returns
+        ``{worker_index: result}``.
         """
-        phase = phase or op
-        handles = [self._workers[w] for w in payloads]
+        handles = [self._workers[w] for w in sorted(calls)]
         for handle in handles:
             if not handle.alive:
                 raise WorkerCrashError(
-                    handle.index, handle.shards, phase, detail="worker already dead"
+                    handle.index, handle.shards, op, detail="worker already dead"
                 )
-            self._send(handle, op, payloads[handle.index])
+            self._send(handle, op, calls[handle.index])
         results: dict[int, object] = {}
         arrivals: list[float] = []
         for handle in handles:
-            _, result, wall = self._recv(handle, phase)
+            _, result, wall = self._recv(handle, op)
             arrivals.append(time.perf_counter())
             self._round_wall[handle.index] += wall
             results[handle.index] = result
@@ -347,150 +347,114 @@ class ParallelBackend:
             self._metrics["barrier_wait"].observe(max(arrivals) - min(arrivals))
         return results
 
-    def _call_all(self, op: str, payload=None, phase: str | None = None):
-        return self._call(
-            op, {h.index: payload for h in self._workers}, phase=phase
-        )
+    def _fan(self, op: str, *args, per_shard=None, shard: int | None = None):
+        """Scatter one :class:`ShardHost` op over the workers and gather.
 
-    def _by_shard(self, results: Mapping[int, dict]) -> dict:
-        """Merge per-worker ``{shard: value}`` replies into one dict."""
-        merged: dict = {}
-        for part in results.values():
-            merged.update(part)
-        return merged
+        With ``per_shard`` — a list over all shards or a shard-keyed
+        mapping, passed as the op's first argument — each worker gets
+        its own shards' slice, and a worker with an empty slice gets no
+        message.  With ``shard``, only that shard's worker is called.
+        Otherwise every worker gets ``args``.  Per-shard list replies
+        come back as one list in global shard order, dict replies are
+        merged, and anything else is the (last) worker's reply.
+        """
+        owner = self.worker_for_shard
+        if per_shard is not None:
+            if not isinstance(per_shard, Mapping):
+                per_shard = dict(enumerate(per_shard))
+            slices: dict[int, dict] = {}
+            for k, value in per_shard.items():
+                slices.setdefault(owner[k], {})[k] = value
+            calls = {w: (part, *args) for w, part in slices.items()}
+        elif shard is not None:
+            calls = {owner[shard]: args}
+        else:
+            calls = {handle.index: args for handle in self._workers}
+        results = self._call(op, calls)  # in worker order
+        replies = list(results.values())
+        if replies and isinstance(replies[0], list):
+            by_shard = {}
+            for w, part in results.items():
+                by_shard.update(zip(self._workers[w].shards, part))
+            return [by_shard[k] for k in sorted(by_shard)]
+        if not replies or isinstance(replies[0], dict):
+            merged: dict = {}
+            for part in replies:
+                merged.update(part)
+            return merged
+        return replies[-1]
 
-    # -- ShardExecutionBackend ---------------------------------------------
-
-    @property
-    def num_shards(self) -> int:
-        return self.topology.num_shards
+    # -- the ShardHost surface, scattered over the workers -----------------
 
     @property
     def num_workers(self) -> int:
         return len(self._workers)
 
     def carryover(self) -> list[int]:
-        merged = self._by_shard(self._call_all("carryover"))
-        return [merged[k] for k in range(self.num_shards)]
+        return self._fan("carryover")
 
     def begin_round(self, specs: Sequence[Sequence[TxSpec]]) -> list[float]:
-        payloads: dict[int, dict[int, list]] = {h.index: {} for h in self._workers}
-        for k, batch in enumerate(specs):
-            payloads[self.worker_for_shard[k]][k] = list(batch)
-        merged = self._by_shard(self._call("begin_round", payloads))
-        return [merged[k] for k in range(self.num_shards)]
+        return self._fan("begin_round", per_shard=specs)
 
     def run_until(self, until: float) -> None:
-        self._call_all("run_until", until)
+        self._fan("run_until", until)
         self._now = until
 
     def begin_argue(self) -> list[float]:
-        merged = self._by_shard(self._call_all("begin_argue"))
-        return [merged[k] for k in range(self.num_shards)]
+        return self._fan("begin_argue")
 
     def complete_round(self) -> list[ShardRoundInfo]:
-        merged = self._by_shard(self._call_all("complete_round"))
-        for w, handle in enumerate(self._workers):
-            self._metrics["worker_round"].labels(worker=str(w)).observe(
-                self._round_wall[w]
-            )
-            self._round_wall[w] = 0.0
-        return [
-            ShardRoundInfo(
-                shard=k,
-                round_number=merged[k][0],
-                leader=merged[k][1],
-                block_serial=merged[k][2],
-                block_size=merged[k][3],
-                argues_sent=merged[k][4],
-                carryover=merged[k][5],
-            )
-            for k in range(self.num_shards)
-        ]
+        infos = self._fan("complete_round")
+        for w, wall in enumerate(self._round_wall):
+            self._metrics["worker_round"].labels(worker=str(w)).observe(wall)
+        self._round_wall = [0.0] * self.num_workers
+        return infos
 
     def scan_commits(self, cursors: Sequence[int]) -> list[ShardScan]:
-        payloads: dict[int, dict[int, int]] = {h.index: {} for h in self._workers}
-        for k, cursor in enumerate(cursors):
-            payloads[self.worker_for_shard[k]][k] = cursor
-        merged = self._by_shard(self._call("scan", payloads, phase="scan"))
-        return [merged[k] for k in range(self.num_shards)]
+        return self._fan("scan_commits", per_shard=cursors)
 
     def relay(self, batches: Mapping[int, Sequence]) -> None:
-        # Satellite: one message per (driver, worker) pair per phase —
-        # all receipts bound for a worker's shards travel together, in
-        # per-shard relay order (the order the remote network draws
-        # latencies in, hence part of the determinism contract).
-        payloads: dict[int, dict[int, list]] = {}
-        for shard, receipts in batches.items():
-            if not receipts:
-                continue
-            worker = self.worker_for_shard[shard]
-            payloads.setdefault(worker, {})[shard] = list(receipts)
-        if payloads:
-            self._call("relay", payloads)
+        # One message per worker: all receipts bound for a worker's
+        # shards travel together, in per-shard relay order (the order
+        # the remote network draws latencies in, hence part of the
+        # determinism contract).
+        self._fan("relay", per_shard=batches)
 
     def repair_scan(self, shard: int) -> bool:
-        worker = self.worker_for_shard[shard]
-        return self._call("repair_scan", {worker: shard})[worker]
+        return self._fan("repair_scan", shard, shard=shard)
 
     def collector_masses(self) -> dict[str, float]:
-        masses: dict[str, float] = {}
-        for part in self._call_all("masses").values():
-            masses.update(part)
-        return masses
+        return self._fan("collector_masses")
 
     def release_collectors(
         self, by_shard: Mapping[int, Sequence[str]]
     ) -> dict[str, tuple]:
-        payloads: dict[int, dict[int, list]] = {}
-        for shard, cids in by_shard.items():
-            worker = self.worker_for_shard[shard]
-            payloads.setdefault(worker, {})[shard] = list(cids)
-        released: dict[str, tuple] = {}
-        if payloads:
-            for part in self._call("release", payloads, phase="release").values():
-                released.update(part)
-        return released
+        return self._fan("release_collectors", per_shard=by_shard)
 
-    def adopt_collectors(
-        self, assignments: Sequence[tuple[int, str, tuple[str, ...], object]]
-    ) -> None:
-        payloads: dict[int, list] = {}
-        for shard, cid, slots, behavior in assignments:
-            worker = self.worker_for_shard[shard]
-            payloads.setdefault(worker, []).append((shard, cid, slots, behavior))
-        if payloads:
-            self._call("adopt", payloads, phase="adopt")
+    def adopt_collectors(self, by_shard: Mapping[int, Sequence[tuple]]) -> None:
+        self._fan("adopt_collectors", per_shard=by_shard)
 
-    def install_faults(self, shard: int, plan, tamperer=None):
+    def install_faults(self, shard: int, plan, tamperer=None) -> None:
         if tamperer is not None:
             raise ConfigurationError(
                 "message tamperers hold live callbacks and cannot cross the "
                 "worker process boundary; run Byzantine tampering on the "
                 "serial backend"
             )
-        worker = self.worker_for_shard[shard]
-        self._call(
-            "install_faults", {worker: (shard, plan)}, phase="install_faults"
-        )
+        self._fan("install_faults", shard, plan, shard=shard)
         self._fault_plans[shard] = plan
-        return None  # the injector lives (and stays) worker-side
 
     def fault_stats(self) -> dict[int, object]:
-        """Per-shard worker-side injector stats (None where no plan)."""
-        merged = self._by_shard(self._call_all("fault_stats"))
-        return {k: merged[k] for k in range(self.num_shards)}
+        return self._fan("fault_stats")
 
     def tip_hashes(self) -> list[str]:
-        merged = self._by_shard(self._call_all("tips"))
-        return [merged[k] for k in range(self.num_shards)]
+        return self._fan("tip_hashes")
 
     def chain_stats(self) -> list[ShardChainStats]:
-        merged = self._by_shard(self._call_all("chain_stats"))
-        return [merged[k] for k in range(self.num_shards)]
+        return self._fan("chain_stats")
 
     def finalize_engines(self) -> None:
-        self._call_all("finalize")
+        self._fan("finalize_engines")
 
     def now(self) -> float:
         return self._now

@@ -2,17 +2,19 @@
 
 :class:`ShardCoordinator` routes workload, mints/relays cross-shard
 receipts, audits atomicity, and reshuffles collectors by reputation
-mass — while the actual protocol engines run behind a pluggable
-:class:`~repro.parallel.ShardExecutionBackend`:
+mass — while the actual protocol engines run in a
+:class:`~repro.parallel.ShardHost`, which defines every shard
+operation once:
 
-* the **serial** backend (default, ``workers=None`` or ``1``) hosts all
-  ``S`` engines in-process on one shared
+* the **serial** backend (default, ``workers=None`` or ``1``) is one
+  host over all ``S`` engines in-process on one shared
   :class:`~repro.network.simnet.Simulator` — the original coordinator
   execution model, bit for bit;
-* the **parallel** backend (``workers >= 2``) hosts each shard's engine
-  in a spawned worker process with deterministic barrier sync at the
-  phase boundaries (:mod:`repro.parallel`), turning sim-time shard
-  scaling into *wall-clock* scaling on multi-core hosts.
+* the **parallel** backend (``workers >= 2``) runs one host per spawned
+  worker process over that worker's round-robin shards, scattering
+  each phase command and gathering the replies at deterministic
+  barriers (:mod:`repro.parallel`), turning sim-time shard scaling
+  into *wall-clock* scaling on multi-core hosts.
 
 Both backends produce **bit-identical ledgers** for the same seed: the
 driver issues the same phase targets, preserves per-remote-shard
@@ -66,7 +68,7 @@ from repro.exceptions import ConfigurationError
 from repro.faults.plan import FaultPlan
 from repro.network.topology import ShardedTopology
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.parallel.backend import SerialBackend, ShardChainStats
+from repro.parallel.backend import ShardChainStats, ShardHost, ShardRoundInfo
 from repro.parallel.pool import ParallelBackend, parallel_metrics
 from repro.sharding.assignment import (
     Migration,
@@ -84,10 +86,8 @@ class SuperRoundResult:
     """Outcome of one super-round across all shards."""
 
     round_number: int
-    #: Per-shard round outcomes: :class:`~repro.core.netengine.
-    #: NetworkedRoundResult` under the serial backend, picklable
-    #: :class:`~repro.parallel.ShardRoundInfo` under the parallel one.
-    shard_results: list
+    #: Per-shard round outcomes in shard order, on either backend.
+    shard_results: list[ShardRoundInfo]
     #: Origin (non-receipt) records committed this super-round.
     committed_tx: int
     #: Receipts minted from fresh home-shard commits this super-round.
@@ -185,7 +185,7 @@ class ShardCoordinator:
                 phase_timeout=worker_timeout,
             )
         else:
-            self.backend = SerialBackend(
+            self.backend = ShardHost(
                 topology,
                 params,
                 behaviors=self._behaviors,
@@ -437,11 +437,13 @@ class ShardCoordinator:
         for move in moves:
             providers, _ = released[move.collector]
             vacancies.setdefault(move.source, deque()).append(providers)
-        adoptions = []
+        adoptions: dict[int, list] = {}
         for move in moves:
             slots = vacancies[move.target].popleft()
             _, behavior = released[move.collector]
-            adoptions.append((move.target, move.collector, slots, behavior))
+            adoptions.setdefault(move.target, []).append(
+                (move.collector, slots, behavior)
+            )
         self.backend.adopt_collectors(adoptions)
         self.collector_shard = dict(target)
         self.reshuffle_log.append((self._round, self._epoch, moves))
@@ -466,15 +468,14 @@ class ShardCoordinator:
 
     # -- faults, finalisation, reporting -----------------------------------
 
-    def install_faults(self, shard: int, plan: FaultPlan, tamperer=None):
+    def install_faults(self, shard: int, plan: FaultPlan, tamperer=None) -> None:
         """Install a seeded fault plan on one shard's engine.
 
-        Serial backend: returns the live
-        :class:`~repro.faults.FaultInjector`.  Parallel backend: the
-        injector lives worker-side and ``None`` is returned; tamperers
-        (live callbacks) are rejected there.
+        The injector stays with the engine; ``backend.fault_stats()``
+        reports what it fired on either backend.  Tamperers (live
+        callbacks) are rejected by the parallel backend.
         """
-        return self.backend.install_faults(shard, plan, tamperer=tamperer)
+        self.backend.install_faults(shard, plan, tamperer=tamperer)
 
     def restart_worker(self, worker: int) -> None:
         """Respawn a crashed worker from durable storage (parallel only)."""

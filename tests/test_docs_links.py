@@ -51,6 +51,26 @@ class TestCheckerBehaviour:
         assert any("b.md#nope" in e for e in errors)
         assert any("#zzz" in e for e in errors)
 
+    def test_detects_unresolvable_names(self, checker, tmp_path):
+        pkg = tmp_path / "src" / "repro"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("from repro.mod import real as exported\n")
+        (pkg / "mod.py").write_text(
+            "import os\nLIMIT: int = 3\ndef real():\n    inner = 1\n"
+        )
+        (tmp_path / "a.md").write_text(
+            "`repro` `repro.mod` `repro.mod.real` `repro.mod.LIMIT` "
+            "`repro.exported` `repro.bench.v1` `repro.bench.vN`\n"
+            "`repro.mod.gone` `repro.nomod` `repro.mod.os` `repro.mod.real.inner`\n"
+            "```\n`repro.fenced`\n```\n"
+        )
+        errors = checker.check_file(tmp_path / "a.md", tmp_path)
+        assert len(errors) == 4
+        for name in ("mod.gone", "nomod", "mod.os", "mod.real.inner"):
+            assert any(f"'repro.{name}'" in e for e in errors)
+        (tmp_path / "CHANGES.md").write_text("`repro.gone`\n")
+        assert checker.check_file(tmp_path / "CHANGES.md", tmp_path) == []
+
     def test_github_slugs(self, checker):
         assert checker.github_slug("3. Metric reference") == "3-metric-reference"
         assert (

@@ -34,7 +34,7 @@ from repro.faults.plan import FaultPlan, LinkFaultSpec
 from repro.network.topology import Topology
 from repro.obs import MetricsRegistry
 from repro.sharding import ShardCoordinator
-from repro.storage import StorageConfig
+from repro.storage import StorageConfig, open_durable_store
 from repro.workloads.generator import BernoulliWorkload
 from repro.workloads.xshard import CrossShardWorkload
 
@@ -73,8 +73,13 @@ def drive(coordinator, workload, rounds=4, batch=32):
 
 def fingerprint(coordinator, workload, rounds=4, **kwargs):
     """Run a deployment to completion and capture its determinism state."""
-    report = drive(coordinator, workload, rounds=rounds)
+    shard_results = []
+    for _ in range(rounds):
+        coordinator.submit(workload.take(32))
+        shard_results.append(coordinator.run_super_round().shard_results)
+    report = coordinator.finalize()
     state = {
+        "shard_results": shard_results,
         "tips": coordinator.tip_hashes(),
         "committed": coordinator.committed_total,
         "now": coordinator.now,
@@ -100,14 +105,20 @@ class TestBitIdentity:
         assert serial["clean"]
         assert all(s.properties_hold for s in serial["stats"])
 
-    def test_multiple_shards_per_worker(self):
-        # 4 shards on 2 workers: co-hosted engines keep private clocks
-        # and stay bit-identical to the serial run.
+    @pytest.mark.parametrize(
+        "shards,l,n,m",
+        [(4, 16, 8, 8), (3, 12, 6, 6)],
+        ids=["4-shards", "3-shards-uneven"],
+    )
+    def test_multiple_shards_per_worker(self, shards, l, n, m):
+        # Shards on 2 workers, evenly (2 + 2) or not (2 + 1): co-hosted
+        # engines share their worker's one clock, as all engines share
+        # one clock in the serial run, and stay bit-identical to it.
         serial = fingerprint(
-            *build(shards=4, workers=None, l=16, n=8, m=8, epoch_rounds=3)
+            *build(shards=shards, workers=None, l=l, n=n, m=m, epoch_rounds=3)
         )
         parallel = fingerprint(
-            *build(shards=4, workers=2, l=16, n=8, m=8, epoch_rounds=3)
+            *build(shards=shards, workers=2, l=l, n=n, m=m, epoch_rounds=3)
         )
         assert parallel == serial
 
@@ -238,6 +249,7 @@ class TestCrashHandling:
                 coordinator.submit(workload.take(32))
                 coordinator.run_super_round()
             heights_before = [s.height for s in coordinator.chain_stats()]
+            crash_clock = coordinator.now
             victim = coordinator.backend._workers[0]
             os.kill(victim.proc.pid, signal.SIGKILL)
             victim.proc.join(timeout=10.0)
@@ -245,6 +257,7 @@ class TestCrashHandling:
             with pytest.raises(WorkerCrashError):
                 coordinator.run_super_round()
             coordinator.restart_worker(0)
+            resumed_height = coordinator.chain_stats()[0].height
             # The respawned worker re-anchored shard 0 from its durable
             # segments; the deployment keeps committing on every shard.
             for _ in range(3):
@@ -261,6 +274,16 @@ class TestCrashHandling:
             )
         finally:
             coordinator.close()
+        # The replacement resumed on the barrier clock, not at t=0:
+        # every origin transaction it packed was signed after the crash.
+        store, _ = open_durable_store(storage[0])
+        stamps = [
+            record.tx.timestamp
+            for serial in range(resumed_height + 1, store.height + 1)
+            for record in store.retrieve(serial).tx_list
+            if record.tx.body.provider != "relay-s0"  # receipts: relay-signed
+        ]
+        assert stamps and min(stamps) >= crash_clock
 
     def test_restart_reapplies_installed_fault_plans(self, tmp_path):
         storage = [
