@@ -82,7 +82,10 @@ class Provider:
         recorded as invalid *and unchecked* (a checked-invalid record
         means the governor already validated, and with a truthful oracle
         that cannot contradict the provider).  Each transaction is argued
-        at most once.
+        at most once.  Only the provider's own records are visited
+        (``Block.records_of``): another provider's record can never be
+        in ``sent_tx_ids``, since ``tx_id`` hashes a body that names
+        its provider.
 
         Args:
             block: A freshly retrieved block.
@@ -95,7 +98,7 @@ class Provider:
         if not self.active:
             return []
         to_argue: list[str] = []
-        for rec in block.tx_list:
+        for rec in block.records_of(self.provider_id):
             tx_id = rec.tx.tx_id
             if tx_id not in self.sent_tx_ids or tx_id in self.argued_tx_ids:
                 continue

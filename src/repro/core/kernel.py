@@ -150,6 +150,7 @@ class RoundKernel:
             abuse_rng=self._agent_rng() if abuse_rate > 0.0 else None,
         )
         self.providers[pid] = provider
+        self.store.join(pid)
         return provider
 
     def _enroll_collector(

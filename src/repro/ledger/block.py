@@ -12,6 +12,7 @@ behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro import perf
 from repro.crypto.hashing import hash_value
@@ -101,6 +102,21 @@ class Block:
     def prove_inclusion(self, index: int):
         """Merkle proof that ``tx_list[index]`` is committed by ``tx_root``."""
         return self._tree.prove(index)
+
+    def records_of(self, provider: str) -> Sequence[TxRecord]:
+        """``provider``'s records, in block order.
+
+        The provider → records index is built once per block and
+        memoized like the hash: a pure function of ``tx_list``, so the
+        argue scan costs O(own records) per reader instead of O(block).
+        """
+        index = self.__dict__.get("_by_provider")
+        if index is None:
+            index = {}
+            for rec in self.tx_list:
+                index.setdefault(rec.tx.provider, []).append(rec)
+            object.__setattr__(self, "_by_provider", index)
+        return index.get(provider, ())
 
     def find_tx(self, tx_id: str) -> TxRecord | None:
         """Locate a record by transaction id, or None if absent."""

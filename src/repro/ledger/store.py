@@ -6,7 +6,7 @@ blocks to notice a mislabeled transaction and ``argue``.  The
 :class:`BlockStore` is the distribution point: governors publish
 committed blocks, any node reads them, and per-reader cursors let active
 providers consume the chain in order without missing a block (the
-definition of an *active* node).
+definition of an *active* node), from the tip at which they joined.
 
 A store may be *anchored* at a checkpoint base ``(base_serial,
 base_hash)``: blocks at or below the base have been compacted away
@@ -124,9 +124,10 @@ class BlockStore:
         """Next unread block for ``reader`` in serial order, or None.
 
         Advances the reader's cursor; an *active* provider polls this
-        every round so that no block escapes its argue check.  New
-        readers start at the anchored base (compacted history cannot be
-        replayed from this store).
+        every round so that no block escapes its argue check.  A reader
+        placed with :meth:`join` starts at the tip it joined at; a
+        reader never joined (or forgotten) starts at the anchored base
+        (compacted history cannot be replayed from this store).
         """
         cursor = self._cursors.get(reader, self._base_serial)
         block = self._blocks.get(cursor + 1)
@@ -134,6 +135,16 @@ class BlockStore:
             return None
         self._cursors[reader] = cursor + 1
         return block
+
+    def join(self, reader: str) -> None:
+        """Place ``reader``'s cursor at the current tip.
+
+        Engines join each provider when they enrol it: a provider can
+        only argue about transactions it signed after it existed, and
+        those land in blocks published from now on, so the blocks
+        already in the store are never worth its read.
+        """
+        self._cursors[reader] = self._height
 
     def unread_count(self, reader: str) -> int:
         """How many published blocks ``reader`` has not consumed yet."""

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.agents.behaviors import (
     AlwaysInvertBehavior,
@@ -16,12 +18,14 @@ from repro.agents.governor import Governor
 from repro.agents.provider import Provider
 from repro.core.params import ProtocolParams
 from repro.crypto.identity import IdentityManager, Role
+from repro.crypto.signatures import SigningKey
 from repro.ledger.block import GENESIS_PREV_HASH, Block
 from repro.ledger.transaction import (
     CheckStatus,
     Label,
     TxRecord,
     make_labeled_transaction,
+    make_signed_transaction,
 )
 from repro.ledger.validation import CountingOracle, GroundTruthOracle
 from repro.network.topology import Topology
@@ -424,3 +428,112 @@ class TestAbusiveArguer:
                 provider_id="p0", key=im.record("p0").key,
                 linked_collectors=("c0",), argue_abuse_rate=0.5,  # no rng
             )
+
+
+# ---------------------------------------------------------------------------
+# Indexed argue scan == linear scan
+
+
+def _linear_review(provider, block, oracle):
+    """Reference argue scan: every record of the block, in block order."""
+    if not provider.active:
+        return []
+    to_argue = []
+    for rec in block.tx_list:
+        tx_id = rec.tx.tx_id
+        if tx_id not in provider.sent_tx_ids or tx_id in provider.argued_tx_ids:
+            continue
+        if rec.label is not Label.INVALID or rec.status is not CheckStatus.UNCHECKED:
+            continue
+        if oracle.validate(rec.tx):
+            provider.argued_tx_ids.add(tx_id)
+            to_argue.append(tx_id)
+        elif (
+            provider.argue_abuse_rate > 0.0
+            and provider.abuse_rng.random() < provider.argue_abuse_rate
+        ):
+            provider.argued_tx_ids.add(tx_id)
+            provider.spurious_argues += 1
+            to_argue.append(tx_id)
+    return to_argue
+
+
+_KEYS = {pid: SigningKey(owner=pid, secret=bytes([k + 1]) * 32)
+         for k, pid in enumerate(("p0", "p1", "p2"))}
+
+#: One record: (signer, sent by the reviewing provider?, label, status, truth).
+_record = st.tuples(
+    st.sampled_from(("p0", "p1", "p2")),
+    st.booleans(),
+    st.sampled_from(list(Label)),
+    st.sampled_from(list(CheckStatus)),
+    st.booleans(),
+)
+
+
+class TestIndexedReviewEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        blocks=st.lists(st.lists(_record, max_size=12), min_size=1, max_size=4),
+        extra_reviews=st.lists(st.integers(min_value=0, max_value=3), max_size=4),
+        abuse_rate=st.sampled_from((0.0, 0.5, 1.0)),
+        rng_seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_matches_linear_scan(self, blocks, extra_reviews, abuse_rate, rng_seed):
+        """Same argues, argued set, spurious count and abuse-RNG state."""
+
+        def provider():
+            return Provider(
+                provider_id="p0", key=_KEYS["p0"], linked_collectors=("c0",),
+                argue_abuse_rate=abuse_rate,
+                abuse_rng=np.random.default_rng(rng_seed),
+            )
+
+        indexed, reference = provider(), provider()
+        oracle = GroundTruthOracle()
+        built = []
+        nonce = 10_000  # own-id records this provider object never sent
+        for serial, spec in enumerate(blocks, start=1):
+            records = []
+            for signer, sent, label, status, truth in spec:
+                if signer == "p0" and sent:
+                    tx = indexed.create_transaction(("own", nonce), 1.0)
+                else:
+                    tx = make_signed_transaction(_KEYS[signer], "x", 1.0, nonce=nonce)
+                nonce += 1
+                oracle.assign(tx, truth)
+                records.append(TxRecord(tx=tx, label=label, status=status))
+            built.append(Block(
+                serial=serial, tx_list=tuple(records), prev_hash=GENESIS_PREV_HASH,
+                proposer="g0", round_number=serial,
+            ))
+        reference.sent_tx_ids = set(indexed.sent_tx_ids)
+        # Every block once in order, then re-reviews of earlier blocks.
+        order = list(range(len(built))) + [i % len(built) for i in extra_reviews]
+        for i in order:
+            assert indexed.review_block(built[i], oracle) == _linear_review(
+                reference, built[i], oracle
+            )
+        assert indexed.argued_tx_ids == reference.argued_tx_ids
+        assert indexed.spurious_argues == reference.spurious_argues
+        assert (
+            indexed.abuse_rng.bit_generator.state
+            == reference.abuse_rng.bit_generator.state
+        )
+
+    def test_records_of_is_block_order_per_provider(self):
+        txs = [
+            make_signed_transaction(_KEYS[pid], "x", 1.0, nonce=k)
+            for k, pid in enumerate(("p1", "p0", "p1", "p2", "p0"))
+        ]
+        records = tuple(
+            TxRecord(tx=tx, label=Label.VALID, status=CheckStatus.CHECKED) for tx in txs
+        )
+        block = Block(
+            serial=1, tx_list=records, prev_hash=GENESIS_PREV_HASH,
+            proposer="g0", round_number=1,
+        )
+        assert list(block.records_of("p0")) == [records[1], records[4]]
+        assert list(block.records_of("p1")) == [records[0], records[2]]
+        assert list(block.records_of("p3")) == []
+        assert block.records_of("p0") is block.records_of("p0")  # built once

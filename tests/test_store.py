@@ -118,6 +118,63 @@ class TestForgetReader:
         BlockStore().forget_reader("never-seen")
 
 
+class TestJoin:
+    def test_join_starts_reader_at_height(self):
+        store = BlockStore()
+        store.publish(block(1))
+        store.publish(block(2))
+        store.join("r")
+        assert store.unread_count("r") == 0
+        assert store.next_for("r") is None
+        store.publish(block(3))
+        assert store.unread_count("r") == 1
+        assert store.next_for("r").serial == 3
+
+    def test_join_on_empty_store_reads_from_genesis(self):
+        store = BlockStore()
+        store.join("r")
+        assert store.unread_count("r") == 0
+        store.publish(block(1))
+        assert store.next_for("r").serial == 1
+
+    def test_join_on_anchored_store(self):
+        store = BlockStore()
+        tip = b"\xaa" * 32
+        store.anchor(serial=5, tip_hash=tip)
+        store.join("r")
+        assert store.unread_count("r") == 0
+        b6 = block(6, prev=tip)
+        store.publish(b6)
+        store.join("late")
+        assert store.unread_count("late") == 0
+        assert store.next_for("late") is None
+        assert store.next_for("r") is b6
+
+    def test_join_after_forget_reader(self):
+        store = BlockStore()
+        store.publish(block(1))
+        store.join("r")
+        store.publish(block(2))
+        assert store.next_for("r").serial == 2
+        store.forget_reader("r")
+        store.publish(block(3))
+        # Forgotten, the reader would start over at the base ...
+        assert store.unread_count("r") == 3
+        # ... re-joined, it starts at the tip instead.
+        store.join("r")
+        assert store.unread_count("r") == 0
+        assert store.next_for("r") is None
+        store.publish(block(4))
+        assert store.next_for("r").serial == 4
+
+    def test_join_leaves_other_readers_alone(self):
+        store = BlockStore()
+        store.publish(block(1))
+        store.join("late")
+        assert store.next_for("early").serial == 1
+        assert store.next_for("late") is None
+
+
 class TestAnchoredStore:
     TIP = b"\xaa" * 32
 

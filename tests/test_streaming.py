@@ -15,6 +15,9 @@ The load-bearing claims, each locked by a test class here:
   all three validity models (satellite property test);
 * ``StreamingSession`` instantiates on arrival, retires on idleness,
   and keeps signing continuity across retire/re-arrive cycles;
+* an arriving provider reads only blocks published after it arrived,
+  so the argue scan's per-round block reads track the active set, not
+  the chain length;
 * durable checkpoints carry the sparse book payload, so a restarted
   engine resumes with equal books (satellite 1);
 * the flash-sale chaos soak holds tip parity through socket chaos
@@ -437,6 +440,59 @@ class TestStreamingSession:
                 virtual, ProtocolParams(f=0.5),
                 behaviors={"c9": MisreportBehavior(0.5)},
             )
+
+
+class TestArgueScanCost:
+    """The argue scan reads O(active set) blocks per round, not O(chain)."""
+
+    ROUNDS = 60
+
+    def test_block_reads_track_the_active_set(self):
+        virtual = VirtualUniverse(universe=2_000, n=4, m=2, r=2)
+        workload = StreamingWorkload(
+            virtual,
+            arrivals=PoissonArrivals(20.0, seed=11),
+            selection="uniform",
+            seed=11,
+            p_valid=0.8,
+        )
+        session = StreamingSession(
+            virtual, ProtocolParams(f=0.5, b_limit=64),
+            workload=workload, seed=11, retirement_rounds=4,
+        )
+        store = session.store
+        reads: list[tuple[str, int]] = []
+        next_for = store.next_for
+
+        def counting_next_for(reader):
+            block = next_for(reader)
+            if block is not None:
+                reads.append((reader, block.serial))
+            return block
+
+        store.next_for = counting_next_for
+        per_round: list[int] = []
+        # reader -> chain height when it (re-)arrived
+        height_at_arrival: dict[str, int] = {}
+        arrivals = 0
+        for rnd in range(1, self.ROUNDS + 1):
+            before, height = set(session.providers), store.height
+            reads.clear()
+            session.run_round(workload.for_round(rnd))
+            for pid in set(session.providers) - before:
+                height_at_arrival[pid] = height
+                arrivals += 1
+            per_round.append(len(reads))
+            for reader, serial in reads:
+                assert serial > height_at_arrival[reader], (
+                    f"round {rnd}: {reader} read block {serial}, published "
+                    f"before it arrived at height {height_at_arrival[reader]}"
+                )
+        assert arrivals > 10 * self.ROUNDS  # first arrivals and re-arrivals
+        assert session.metrics.reinstantiations > 0
+        early, late = sum(per_round[10:20]), sum(per_round[50:60])
+        assert early > 0
+        assert late <= 1.5 * early, (early, late)
 
 
 # ---------------------------------------------------------------------------
