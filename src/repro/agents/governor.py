@@ -288,14 +288,22 @@ class Governor:
 
     # -- upload ingestion (Algorithm 2, deliver arm) ----------------------
 
-    def ingest_upload(self, upload: LabeledTransaction) -> bool:
-        """Verify and buffer one collector upload.
+    def ingest_upload(self, upload: LabeledTransaction, collector_ok: bool) -> bool:
+        """Buffer one collector upload whose collector signature is checked.
 
-        Performs the paper's ``verify(c_i, Tx)``: the collector's
-        signature over (tx, label), the embedded provider signature, and
-        the collector-provider link.  A failed embedded-provider check is
-        a *forgery* — case-1 reputation update; a failed collector
-        signature is simply dropped (cannot be attributed).
+        Completes the paper's ``verify(c_i, Tx)``.  The caller verifies
+        the collector's signature over (tx, label) once per delivery and
+        passes the verdict as ``collector_ok``, so the auditor and the
+        governor share one HMAC check.  This method checks the embedded
+        provider signature and the collector-provider link.  A failed
+        embedded-provider check is a *forgery* — case-1 reputation
+        update; a failed collector signature is simply dropped (cannot
+        be attributed).
+
+        The provider signature is checked only for a transaction not yet
+        buffered under its ``tx_id`` in an equal copy: an entry is
+        created only after its signature verified, so an equal copy
+        carries the same verdict.  The link is checked every time.
 
         Returns:
             True if buffered for screening.
@@ -306,23 +314,22 @@ class Governor:
             # uploads from it carry no reputation standing and are
             # dropped before any attribution is attempted.
             return False
-        tx, label = upload.parse()
-        # The memoized signed-message encodings feed the IM's verification
-        # cache: every governor checks the same bytes, only the first pays.
-        collector_ok = self.im.verify(
-            upload.collector, upload.signed_message_bytes(), upload.collector_signature
-        )
         if not collector_ok:
             return False
-        provider_ok = self.im.verify(
-            tx.provider, tx.signed_message_bytes(), tx.provider_signature
-        ) and self.im.is_linked(upload.collector, tx.provider)
-        if not provider_ok:
+        tx, label = upload.parse()
+        tx_id = tx.tx_id
+        entry = self._received.get(tx_id)
+        provider_ok = (
+            entry is not None and entry[0] == tx
+        ) or self.im.verify(tx.provider, tx.signed_message_bytes(), tx.provider_signature)
+        if not (provider_ok and self.im.is_linked(upload.collector, tx.provider)):
             apply_forge_update(self.book, upload.collector)
             self.metrics.forgeries_caught += 1
             self._m_forgeries.inc()
             return False
-        _tx, labels = self._received.setdefault(tx.tx_id, (tx, {}))
+        if entry is None:
+            entry = self._received[tx_id] = (tx, {})
+        labels = entry[1]
         if upload.collector in labels:
             # Duplicate upload from the same collector: keep the first
             # (atomic broadcast makes later copies replays).

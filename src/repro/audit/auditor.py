@@ -364,18 +364,19 @@ class SafetyAuditor:
     # -- uploads (collector equivocation) --------------------------------
 
     def observe_upload(
-        self, upload: LabeledTransaction, round_number: int
+        self, upload: LabeledTransaction, round_number: int, collector_ok: bool
     ) -> AuditViolation | None:
         """Record one signed collector label; detect label equivocation.
 
-        Only uploads whose collector signature verifies are evidence;
-        an in-flight tamper (stripped signature, flipped label) fails
-        verification and therefore can never *frame* a collector.
+        ``collector_ok`` is the verdict on the upload's collector
+        signature, checked once by the receiving governor's handler and
+        shared with :meth:`~repro.agents.governor.Governor.ingest_upload`.
+        Only uploads whose signature verified are evidence; an in-flight
+        tamper (stripped signature, flipped label) fails verification
+        and therefore can never *frame* a collector.
         """
         self._check("upload-label")
-        if self.im is not None and not self.im.verify(
-            upload.collector, upload.signed_message_bytes(), upload.collector_signature
-        ):
+        if not collector_ok:
             return None
         key = (upload.collector, upload.tx.tx_id)
         held = self._labels.setdefault(key, {})

@@ -500,8 +500,15 @@ class NetworkedProtocolEngine(RoundKernel):
             # traffic behind it keeps flowing.)
             if sender in self._quarantined:
                 return
+            # The collector's signature is checked once per delivery; the
+            # auditor and the governor share the verdict.
+            collector_ok = self.im.verify(
+                upload.collector, upload.signed_message_bytes(), upload.collector_signature
+            )
             if self.audit.enabled and self.audit.commit_votes:
-                violation = self.auditors[gid].observe_upload(upload, self._round)
+                violation = self.auditors[gid].observe_upload(
+                    upload, self._round, collector_ok
+                )
                 if (
                     violation is not None
                     and violation.provable
@@ -512,15 +519,13 @@ class NetworkedProtocolEngine(RoundKernel):
             governor = self.governors[gid]
             tx_id = upload.tx.tx_id
             fresh = not governor.has_buffered(tx_id)
-            if governor.ingest_upload(upload) and fresh:
+            if governor.ingest_upload(upload, collector_ok) and fresh:
                 # Algorithm 2's starttime(tx, Δ) — first report arms it.
                 key = (gid, tx_id)
                 if key not in self._timers_started:
                     self._timers_started.add(key)
                     self.sim.schedule_after(
-                        self.params.delta,
-                        lambda: self._governor_endtime(gid, tx_id),
-                        label=f"endtime:{gid}:{tx_id[:8]}",
+                        self.params.delta, lambda: self._governor_endtime(gid, tx_id)
                     )
         return handle
 
@@ -1259,7 +1264,7 @@ class NetworkedProtocolEngine(RoundKernel):
             packed["block"] = block
             self.broadcast.broadcast("blocks", live, block)
 
-        self.sim.schedule_at(cutoff, pack_block, label=f"pack:{round_number}")
+        self.sim.schedule_at(cutoff, pack_block)
         # Drain target: block dissemination takes one more hop past the
         # pack cutoff.
         return RoundContext(

@@ -234,13 +234,21 @@ class ProtocolEngine(RoundKernel):
         leader_id = self._elect_leader(round_number)
         leader = self.governors[leader_id]
         leader_records: list[TxRecord] = []
+        # Every governor asks the same Identity Manager, so each upload's
+        # collector signature is checked once and the verdict shared.
+        verdicts = [
+            self.im.verify(
+                upload.collector, upload.signed_message_bytes(), upload.collector_signature
+            )
+            for upload in uploads
+        ]
         for gid, governor in self.governors.items():
-            for upload in uploads:
+            for upload, collector_ok in zip(uploads, verdicts):
                 if self.visibility is not None and not self.visibility.sees(
                     gid, upload.collector
                 ):
                     continue
-                governor.ingest_upload(upload)
+                governor.ingest_upload(upload, collector_ok)
             records = governor.screen_pending()
             if gid == leader_id:
                 leader_records = records

@@ -47,50 +47,80 @@ def sha256(data: bytes) -> bytes:
 
 
 def _encode(value: Any, out: list[bytes]) -> None:
-    """Append the canonical encoding of ``value`` to ``out``."""
-    if value is None:
-        out.append(_TAG_NONE)
-    elif value is True:
-        out.append(_TAG_TRUE)
-    elif value is False:
-        out.append(_TAG_FALSE)
-    elif isinstance(value, bytes):
-        out.append(_TAG_BYTES)
-        out.append(len(value).to_bytes(8, "big"))
-        out.append(value)
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.append(_TAG_STR)
-        out.append(len(raw).to_bytes(8, "big"))
-        out.append(raw)
-    elif isinstance(value, int):
-        raw = str(value).encode("ascii")
-        out.append(_TAG_INT)
-        out.append(len(raw).to_bytes(8, "big"))
-        out.append(raw)
-    elif isinstance(value, float):
-        raw = repr(value).encode("ascii")
-        out.append(_TAG_FLOAT)
-        out.append(len(raw).to_bytes(8, "big"))
-        out.append(raw)
-    elif isinstance(value, (tuple, list)):
-        out.append(_TAG_SEQ)
-        out.append(len(value).to_bytes(8, "big"))
-        for item in value:
-            _encode(item, out)
-    elif isinstance(value, dict):
-        items = sorted(value.items(), key=lambda kv: repr(kv[0]))
-        out.append(_TAG_MAP)
-        out.append(len(items).to_bytes(8, "big"))
-        for key, val in items:
-            _encode(key, out)
-            _encode(val, out)
-    elif hasattr(value, "canonical_bytes"):
-        # Domain objects (transactions, blocks) expose their own stable
-        # encoding; treat it as opaque bytes.
-        _encode(value.canonical_bytes(), out)
+    """Append the canonical encoding of ``value`` to ``out``.
+
+    Flat by design: a sequence's members are encoded in this loop rather
+    than by a call each, and only nested containers and domain objects
+    recurse.  Members dispatch on their exact type first (the hot shapes
+    are tuples of bytes, str, int and float); everything else (None,
+    bools, dicts, subclasses such as ``IntEnum`` labels, domain objects)
+    takes the ``isinstance`` chain, whose order matters: ``True`` before
+    ``int``, ``str`` subclasses as ``str``.  A scalar ``value`` is
+    encoded as the loop's only member.
+    """
+    append = out.append
+    kind = type(value)
+    if kind is tuple or kind is list or isinstance(value, (tuple, list)):
+        append(_TAG_SEQ)
+        append(len(value).to_bytes(8, "big"))
+        items = value
     else:
-        raise TypeError(f"cannot canonically hash value of type {type(value)!r}")
+        items = (value,)
+    for item in items:
+        kind = type(item)
+        if kind is bytes:
+            raw = item
+            append(_TAG_BYTES)
+        elif kind is str:
+            raw = item.encode("utf-8")
+            append(_TAG_STR)
+        elif kind is float:
+            raw = repr(item).encode("ascii")
+            append(_TAG_FLOAT)
+        elif kind is int:
+            raw = str(item).encode("ascii")
+            append(_TAG_INT)
+        elif isinstance(item, (tuple, list)):
+            _encode(item, out)
+            continue
+        elif item is None:
+            append(_TAG_NONE)
+            continue
+        elif item is True:
+            append(_TAG_TRUE)
+            continue
+        elif item is False:
+            append(_TAG_FALSE)
+            continue
+        elif isinstance(item, bytes):
+            raw = item
+            append(_TAG_BYTES)
+        elif isinstance(item, str):
+            raw = item.encode("utf-8")
+            append(_TAG_STR)
+        elif isinstance(item, int):
+            raw = str(item).encode("ascii")
+            append(_TAG_INT)
+        elif isinstance(item, float):
+            raw = repr(item).encode("ascii")
+            append(_TAG_FLOAT)
+        elif isinstance(item, dict):
+            pairs = sorted(item.items(), key=lambda kv: repr(kv[0]))
+            append(_TAG_MAP)
+            append(len(pairs).to_bytes(8, "big"))
+            for key, val in pairs:
+                _encode(key, out)
+                _encode(val, out)
+            continue
+        elif hasattr(item, "canonical_bytes"):
+            # Domain objects (transactions, blocks) expose their own
+            # stable encoding; treat it as opaque bytes.
+            _encode(item.canonical_bytes(), out)
+            continue
+        else:
+            raise TypeError(f"cannot canonically hash value of type {type(item)!r}")
+        append(len(raw).to_bytes(8, "big"))
+        append(raw)
 
 
 def canonical_encode(value: Any) -> bytes:

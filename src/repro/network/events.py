@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.exceptions import SimulationError
@@ -18,29 +18,35 @@ from repro.exceptions import SimulationError
 __all__ = ["Event", "EventQueue"]
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class Event:
-    """A scheduled callback.
+    """A scheduled ``callback(*args)``, returned as a cancellable handle.
 
-    Ordering is by ``(time, seq)``; the callback itself never affects
-    ordering.  ``cancelled`` events stay in the heap but are skipped on
-    pop (lazy deletion — O(log n) cancel without heap surgery).
-    Slotted: the event loop allocates one of these per message copy, so
-    the per-instance ``__dict__`` was measurable churn.
+    Carrying the arguments spares the caller a closure per event, which
+    on the message path is an allocation per copy.  ``done`` is set once
+    the event is popped or cancelled.  Cancelled events stay in the heap
+    but are skipped on pop (lazy deletion — O(log n) cancel without heap
+    surgery), and cancelling a popped event is a no-op.  Slotted: the
+    event loop allocates one of these per message copy, so the
+    per-instance ``__dict__`` was measurable churn.
     """
 
     time: float
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    label: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: Callable[..., None]
+    args: tuple = ()
+    done: bool = False
 
 
 class EventQueue:
-    """Deterministic min-heap of :class:`Event` objects."""
+    """Deterministic min-heap of :class:`Event` objects.
+
+    The heap holds ``(time, seq, event)`` tuples: ``seq`` is unique, so
+    ordering never reaches the event and every comparison runs in C.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -50,18 +56,40 @@ class EventQueue:
     def __bool__(self) -> bool:
         return self._live > 0
 
-    def schedule(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
-        """Enqueue ``callback`` to fire at ``time``; returns a cancellable handle.
+    def schedule(self, time: float, callback: Callable[..., None], *args) -> Event:
+        """Enqueue ``callback(*args)`` to fire at ``time``; returns a cancellable handle.
 
         Raises:
             SimulationError: for a negative or non-finite time.
         """
-        if not (time >= 0.0) or time != time or time == float("inf"):
+        if not (time >= 0.0) or time == float("inf"):
             raise SimulationError(f"invalid event time: {time!r}")
-        event = Event(time=time, seq=next(self._counter), callback=callback, label=label)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, seq, callback, args)
+        heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
+
+    def pop_due(self, until: float | None = None) -> Event | None:
+        """Remove and return the earliest live event due by ``until``.
+
+        Returns None when no live event remains or the earliest one lies
+        after ``until`` (which then stays queued); ``until=None`` means
+        no horizon.  Cancelled events reaching the head are discarded.
+        """
+        heap = self._heap
+        while heap:
+            time, _seq, event = heap[0]
+            if event.done:
+                heapq.heappop(heap)
+                continue
+            if until is not None and time > until:
+                return None
+            heapq.heappop(heap)
+            event.done = True
+            self._live -= 1
+            return event
+        return None
 
     def pop(self) -> Event:
         """Remove and return the earliest non-cancelled event.
@@ -69,22 +97,20 @@ class EventQueue:
         Raises:
             SimulationError: if the queue is empty.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self._live -= 1
-            return event
-        raise SimulationError("pop from empty event queue")
+        event = self.pop_due()
+        if event is None:
+            raise SimulationError("pop from empty event queue")
+        return event
 
     def peek_time(self) -> float | None:
         """Time of the next live event, or None if the queue is drained."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].done:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event (idempotent, lazy deletion)."""
-        if not event.cancelled:
-            event.cancelled = True
+        if not event.done:
+            event.done = True
             self._live -= 1

@@ -26,6 +26,11 @@ from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 __all__ = ["Message", "Simulator", "SyncNetwork", "NetworkStats"]
 
 
+def _kind_of(payload: Any) -> str:
+    """Traffic bucket of a payload: its ``kind``, else its type name."""
+    return getattr(payload, "kind", type(payload).__name__)
+
+
 @dataclass(frozen=True, slots=True)
 class Message:
     """An in-flight network message (slotted — allocated per edge copy)."""
@@ -56,12 +61,11 @@ class NetworkStats:
     messages_by_kind: dict[str, int] = field(default_factory=dict)
     latencies: list[float] = field(default_factory=list)
 
-    def record(self, message: Message, size_hint: int) -> None:
-        """Account for one sent message."""
+    def record(self, message: Message, size_hint: int, kind: str) -> None:
+        """Account for one sent message whose payload kind is ``kind``."""
         self.messages_sent += 1
         self.bytes_sent += size_hint
         self.latencies.append(message.latency)
-        kind = getattr(message.payload, "kind", type(message.payload).__name__)
         self.messages_by_kind[kind] = self.messages_by_kind.get(kind, 0) + 1
 
     def record_drop(self) -> None:
@@ -99,24 +103,23 @@ class Simulator:
         self.clock = GlobalClock()
         self.queue = EventQueue()
         self.rng = np.random.default_rng(seed)
-        self._steps = 0
 
     @property
     def now(self) -> float:
         """Current simulation time."""
         return self.clock.now
 
-    def schedule_at(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
-        """Schedule ``callback`` at absolute time ``time`` (>= now)."""
+    def schedule_at(self, time: float, callback: Callable[..., None], *args) -> Event:
+        """Schedule ``callback(*args)`` at absolute time ``time`` (>= now)."""
         if time < self.now:
             raise SimulationError(f"cannot schedule in the past: {time} < {self.now}")
-        return self.queue.schedule(time, callback, label)
+        return self.queue.schedule(time, callback, *args)
 
-    def schedule_after(self, delay: float, callback: Callable[[], None], label: str = "") -> Event:
-        """Schedule ``callback`` after a relative ``delay`` (>= 0)."""
+    def schedule_after(self, delay: float, callback: Callable[..., None], *args) -> Event:
+        """Schedule ``callback(*args)`` after a relative ``delay`` (>= 0)."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.queue.schedule(self.now + delay, callback, label)
+        return self.queue.schedule(self.now + delay, callback, *args)
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event."""
@@ -124,12 +127,11 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the next event; returns False when the queue is empty."""
-        if not self.queue:
+        event = self.queue.pop_due()
+        if event is None:
             return False
-        event = self.queue.pop()
         self.clock.advance_to(event.time)
-        event.callback()
-        self._steps += 1
+        event.callback(*event.args)
         return True
 
     def run(self, until: float | None = None, max_events: int = 10_000_000) -> int:
@@ -145,18 +147,17 @@ class Simulator:
         Returns the number of events executed.  ``max_events`` is a
         runaway guard: exceeding it raises instead of hanging a bench.
         """
+        pop_due = self.queue.pop_due
+        advance_to = self.clock.advance_to
         executed = 0
-        while self.queue:
-            next_time = self.queue.peek_time()
-            if until is not None and next_time is not None and next_time > until:
-                break
-            if not self.step():
-                break
+        while (event := pop_due(until)) is not None:
+            advance_to(event.time)
+            event.callback(*event.args)
             executed += 1
             if executed > max_events:
                 raise SimulationError(f"exceeded max_events={max_events}; runaway simulation?")
         if until is not None and self.now < until:
-            self.clock.advance_to(until)
+            advance_to(until)
         return executed
 
 
@@ -211,6 +212,9 @@ class SyncNetwork:
         )
         self._rng = np.random.default_rng(seed)
         self._handlers: dict[str, Callable[[Message], None]] = {}
+        # Bound once: every scheduled copy would otherwise allocate a
+        # method object, and the collector's pace follows allocations.
+        self._deliver_message = self._deliver
         # Per (sender, receiver) channel: time of the latest scheduled
         # delivery, used to enforce FIFO per channel.
         self._channel_front: dict[tuple[str, str], float] = {}
@@ -313,7 +317,7 @@ class SyncNetwork:
         extra_delay = float(getattr(action, "extra_delay", 0.0)) if action is not None else 0.0
         delay = float(fixed_delay) if fixed_delay is not None else self._draw_delay()
         self._schedule_delivery(
-            sender, receiver, payload, size_hint,
+            sender, receiver, payload, size_hint, _kind_of(payload),
             self.sim.now, delay, copies, extra_delay,
         )
 
@@ -323,6 +327,7 @@ class SyncNetwork:
         receiver: str,
         payload: Any,
         size_hint: int,
+        kind: str,
         now: float,
         delay: float,
         copies: int = 1,
@@ -332,7 +337,8 @@ class SyncNetwork:
 
         Shared by :meth:`send` and the batched :meth:`multicast` fast
         path; ``delay`` is the primary latency draw, already consumed
-        from the network RNG by the caller.
+        from the network RNG by the caller, and ``kind`` the payload's
+        :func:`_kind_of`, taken once per send.
         """
         if delay > self.max_delay:
             raise SynchronyViolationError(
@@ -350,22 +356,15 @@ class SyncNetwork:
         # bound: faults model exactly the failures the paper assumes
         # away.
         deliver_at += extra_delay
+        sent = self._m_sent.labels(kind=kind)
         for copy in range(copies):
             at = deliver_at if copy == 0 else deliver_at + copy * self._draw_delay()
-            message = Message(
-                sender=sender, receiver=receiver, payload=payload,
-                sent_at=now, deliver_at=at,
-            )
-            self.stats.record(message, size_hint)
-            kind = getattr(payload, "kind", type(payload).__name__)
-            self._m_sent.labels(kind=kind).inc()
+            message = Message(sender, receiver, payload, now, at)
+            self.stats.record(message, size_hint, kind)
+            sent.inc()
             self._m_bytes.inc(size_hint)
             self._m_delay.observe(message.latency)
-            self.sim.schedule_at(
-                at,
-                lambda m=message: self._deliver(m),
-                label=f"deliver:{sender}->{receiver}",
-            )
+            self.sim.schedule_at(at, self._deliver_message, message)
             self._convey(message, size_hint)
 
     def _convey(self, message: Message, size_hint: int) -> None:
@@ -411,12 +410,13 @@ class SyncNetwork:
             and all(r in self._handlers for r in receivers)
         ):
             now = self.sim.now
+            kind = _kind_of(payload)
             delays = self._rng.uniform(
                 self.min_delay, self.max_delay, size=len(receivers)
             )
             for receiver, delay in zip(receivers, delays):
                 self._schedule_delivery(
-                    sender, receiver, payload, size_hint, now, float(delay)
+                    sender, receiver, payload, size_hint, kind, now, float(delay)
                 )
             return
         for receiver in receivers:

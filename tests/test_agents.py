@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from repro.agents.governor import Governor
 from repro.agents.provider import Provider
 from repro.core.params import ProtocolParams
 from repro.crypto.identity import IdentityManager, Role
-from repro.crypto.signatures import SigningKey
+from repro.crypto.signatures import Signature, SigningKey
 from repro.ledger.block import GENESIS_PREV_HASH, Block
 from repro.ledger.transaction import (
     CheckStatus,
@@ -82,6 +84,15 @@ def make_governor(world, gid="g0", params=None):
     )
     gov.register_topology(topo)
     return gov
+
+
+def ingest(gov, upload):
+    """Deliver ``upload`` the way the engines do: the collector signature
+    is verified by the caller and the verdict handed to the governor."""
+    collector_ok = gov.im.verify(
+        upload.collector, upload.signed_message_bytes(), upload.collector_signature
+    )
+    return gov.ingest_upload(upload, collector_ok)
 
 
 class TestProvider:
@@ -232,14 +243,14 @@ class TestGovernor:
     def test_ingest_valid_upload(self, world):
         gov = make_governor(world)
         upload, _tx = self._upload(world)
-        assert gov.ingest_upload(upload)
+        assert ingest(gov, upload)
         assert gov.metrics.uploads_received == 1
 
     def test_ingest_detects_forgery(self, world):
         gov = make_governor(world)
         collector = make_collector(world, behavior=ForgeBehavior(1.0))
         forged = collector.maybe_forge(1.0)
-        assert not gov.ingest_upload(forged)
+        assert not ingest(gov, forged)
         assert gov.metrics.forgeries_caught == 1
         assert gov.book.vector("c0").forge == -1
 
@@ -256,20 +267,59 @@ class TestGovernor:
             collector="c1",
             collector_signature=upload.collector_signature,
         )
-        assert not gov.ingest_upload(impostor)
+        assert not ingest(gov, impostor)
         # No reputational damage to c1: unattributable messages are dropped.
         assert gov.book.vector("c1").forge == 0
 
     def test_duplicate_upload_ignored(self, world):
         gov = make_governor(world)
         upload, _tx = self._upload(world)
-        assert gov.ingest_upload(upload)
-        assert not gov.ingest_upload(upload)
+        assert ingest(gov, upload)
+        assert not ingest(gov, upload)
+
+    def test_reupload_with_forged_provider_signature_is_a_forgery(self, world):
+        """An equal copy skips the provider check; a same-id forgery does not.
+
+        The forged copy has the honest transaction's body and timestamp,
+        hence its ``tx_id``, but a provider signature the provider never
+        made.  It arrives from another linked collector after the honest
+        copy is buffered.
+        """
+        topo, im, _oracle = world
+        gov = make_governor(world)
+        upload, tx = self._upload(world)
+        assert ingest(gov, upload)
+        other = next(c for c in topo.collectors_of(tx.provider) if c != upload.collector)
+        forged_tx = replace(
+            tx, provider_signature=Signature(signer=tx.provider, tag=b"\x00" * 32)
+        )
+        assert forged_tx.tx_id == tx.tx_id
+        forged = make_labeled_transaction(im.record(other).key, forged_tx, Label.VALID)
+        assert not ingest(gov, forged)
+        assert gov.metrics.forgeries_caught == 1
+        assert gov.book.vector(other).forge == -1
+        # The honest copy from the same collector still buffers.
+        honest = make_labeled_transaction(im.record(other).key, tx, Label.VALID)
+        assert ingest(gov, honest)
+
+    def test_equal_reupload_from_unlinked_collector_is_a_forgery(self, world):
+        """Skipping the provider signature never skips the link check."""
+        topo, im, _oracle = world
+        gov = make_governor(world)
+        upload, tx = self._upload(world)
+        assert ingest(gov, upload)
+        stranger = next(
+            c for c in topo.collectors if c not in topo.collectors_of(tx.provider)
+        )
+        relabeled = make_labeled_transaction(im.record(stranger).key, tx, Label.VALID)
+        assert not ingest(gov, relabeled)
+        assert gov.metrics.forgeries_caught == 1
+        assert gov.book.vector(stranger).forge == -1
 
     def test_screen_pending_produces_records(self, world):
         gov = make_governor(world)
         upload, _tx = self._upload(world, valid=True)
-        gov.ingest_upload(upload)
+        ingest(gov, upload)
         records = gov.screen_pending()
         assert len(records) == 1
         assert records[0].label is Label.VALID
@@ -278,14 +328,14 @@ class TestGovernor:
     def test_checked_invalid_discarded(self, world):
         gov = make_governor(world)
         upload, _tx = self._upload(world, valid=False)
-        gov.ingest_upload(upload)
+        ingest(gov, upload)
         records = gov.screen_pending()
         assert records == []
 
     def test_case2_updates_applied(self, world):
         gov = make_governor(world)
         upload, _tx = self._upload(world, valid=True)
-        gov.ingest_upload(upload)
+        ingest(gov, upload)
         gov.screen_pending()
         assert gov.book.vector("c0").misreport == 1
 
@@ -307,7 +357,7 @@ class TestGovernor:
         )
         gov.register_topology(topo)
         upload, tx = self._upload(world, valid=True, label=Label.INVALID)
-        gov.ingest_upload(upload)
+        ingest(gov, upload)
         records = gov.screen_pending()
         assert records[0].status is CheckStatus.UNCHECKED
         assert gov.metrics.unchecked == 1
@@ -341,7 +391,7 @@ class TestGovernor:
         )
         gov.register_topology(topo)
         upload, tx = self._upload(world, valid=True, label=Label.INVALID)
-        gov.ingest_upload(upload)
+        ingest(gov, upload)
         gov.screen_pending()
         gov.reveal_truth(tx.tx_id, oracle)
         assert gov.metrics.mistakes == 1
@@ -407,7 +457,7 @@ class TestAbusiveArguer:
         upload = make_labeled_transaction(
             im.record("c0").key, tx, Label.INVALID
         )
-        gov.ingest_upload(upload)
+        ingest(gov, upload)
         records = gov.screen_pending()
         assert records[0].status is CheckStatus.UNCHECKED
         validations_before = gov.oracle.calls

@@ -29,6 +29,7 @@ from repro.ledger.transaction import (
     make_signed_transaction,
 )
 from repro.network.topology import Topology
+from repro.obs.registry import MetricsRegistry
 from repro.workloads.generator import BernoulliWorkload
 
 
@@ -211,8 +212,8 @@ class TestObserveUpload:
         auditor = SafetyAuditor("g0")
         first = make_labeled_transaction(self.collector_key, self.tx, Label.VALID)
         second = make_labeled_transaction(self.collector_key, self.tx, Label.INVALID)
-        assert auditor.observe_upload(first, 1) is None
-        violation = auditor.observe_upload(second, 1)
+        assert auditor.observe_upload(first, 1, True) is None
+        violation = auditor.observe_upload(second, 1, True)
         assert violation is not None
         assert violation.type is ViolationType.COLLECTOR_EQUIVOCATION
         assert violation.provable and violation.culprit == "c0"
@@ -221,20 +222,64 @@ class TestObserveUpload:
         im = IdentityManager(seed=6)
         key = im.enroll("c0", Role.COLLECTOR)
         auditor = SafetyAuditor("g0", im=im)
+
+        def observe(upload):
+            collector_ok = im.verify(
+                upload.collector, upload.signed_message_bytes(), upload.collector_signature
+            )
+            return auditor.observe_upload(upload, 1, collector_ok)
+
         honest = make_labeled_transaction(key, self.tx, Label.VALID)
-        assert auditor.observe_upload(honest, 1) is None
+        assert observe(honest) is None
         # A flipped label under the old signature never becomes evidence.
         from dataclasses import replace
 
         flipped = replace(honest, label=Label.INVALID)
-        assert auditor.observe_upload(flipped, 1) is None
+        assert observe(flipped) is None
         stripped = replace(
             honest,
             label=Label.INVALID,
             collector_signature=Signature(signer="c0", tag=b"\x00" * 32),
         )
-        assert auditor.observe_upload(stripped, 1) is None
+        assert observe(stripped) is None
         assert auditor.report.clean
+
+
+class TestSharedUploadVerdict:
+    def test_at_most_two_signature_checks_per_delivered_upload(self, monkeypatch):
+        """Each governor checks an upload's collector signature once and its
+        provider signature only for the first copy of a transaction.
+
+        Counted as Identity Manager cache lookups (hits + misses) made
+        while one governor handles one delivered upload, auditor on.
+        """
+        registry = MetricsRegistry()
+        lookups: list[float] = []
+        original = NetworkedProtocolEngine._governor_on_upload
+
+        def counted(self, gid):
+            handle = original(self, gid)
+
+            def wrapped(sender, upload):
+                hits = registry.get("crypto_sig_cache_hits")
+                misses = registry.get("crypto_sig_cache_misses")
+                before = hits.value + misses.value
+                handle(sender, upload)
+                lookups.append(hits.value + misses.value - before)
+
+            return wrapped
+
+        monkeypatch.setattr(NetworkedProtocolEngine, "_governor_on_upload", counted)
+        topo = Topology.regular(l=8, n=4, m=3, r=2)
+        engine = NetworkedProtocolEngine(
+            topo, ProtocolParams(f=0.5, delta=0.2), seed=3, obs=registry
+        )
+        run_rounds(engine, topo, 4, seed=4)
+        delivered = sum(g.metrics.uploads_received for g in engine.governors.values())
+        assert len(lookups) == delivered > 0
+        assert max(lookups) <= 2
+        # r=2: the second linked collector's copy skips the provider check.
+        assert sum(lookups) / delivered < 2
 
 
 class TestBookAndRegret:

@@ -162,6 +162,32 @@ class TestTamperedRuns:
             assert not auditor.report.by_type(ViolationType.COLLECTOR_EQUIVOCATION)
         check_agreement(engine.ledgers())
 
+    def test_tampered_uploads_never_become_evidence(self):
+        """Stripped and flipped uploads never enter an auditor's label store.
+
+        The auditor takes the handler's collector-signature verdict
+        instead of checking again, so every upload it holds must carry a
+        collector signature that verifies.
+        """
+        engine, topo = make_engine(seed=14)
+        tamperer = MessageTamperer(
+            TamperSpec(strip_signature=0.3, flip_label=0.3), seed=15
+        )
+        engine.install_faults(FaultPlan(seed=16), tamperer=tamperer)
+        run_rounds(engine, topo, 3, seed=17)
+        assert tamperer.stats.stripped > 0 and tamperer.stats.flipped > 0
+        held = [
+            upload
+            for auditor in engine.auditors.values()
+            for by_label in auditor._labels.values()
+            for upload in by_label.values()
+        ]
+        assert held
+        for upload in held:
+            assert engine.im.verify(
+                upload.collector, upload.signed_message_bytes(), upload.collector_signature
+            )
+
     def test_replay_defused_by_pack_dedup(self):
         engine, topo = make_engine(seed=20)
         tamperer = MessageTamperer(TamperSpec(replay=0.3), seed=21)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
 from repro.network.events import EventQueue
@@ -27,6 +29,14 @@ class TestScheduling:
         while q:
             q.pop().callback()
         assert fired == list("abcde")
+
+    def test_callback_arguments_are_carried(self):
+        q = EventQueue()
+        fired = []
+        q.schedule(1.0, fired.append, "x")
+        event = q.pop()
+        event.callback(*event.args)
+        assert fired == ["x"]
 
     def test_len_tracks_live_events(self):
         q = EventQueue()
@@ -71,6 +81,14 @@ class TestCancellation:
         q.cancel(ev)
         assert len(q) == 0
 
+    def test_cancel_after_pop_is_a_no_op(self):
+        q = EventQueue()
+        ev = q.schedule(1.0, lambda: None)
+        q.schedule(2.0, lambda: None)
+        assert q.pop() is ev
+        q.cancel(ev)
+        assert len(q) == 1
+
     def test_peek_time_skips_cancelled(self):
         q = EventQueue()
         ev = q.schedule(1.0, lambda: None)
@@ -88,3 +106,49 @@ class TestCancellation:
         assert q
         q.cancel(ev)
         assert not q
+
+
+class TestAgainstSortedReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["schedule", "schedule", "cancel", "pop", "pop_due"]),
+            st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+            st.integers(min_value=0, max_value=50),
+        ),
+        max_size=60,
+    ))
+    def test_random_ops_match_sorted_time_seq(self, ops):
+        """Schedule/cancel/pop agree with a sorted ``(time, seq)`` list."""
+        q = EventQueue()
+        handles = []  # (time, seq, event) in schedule order
+        live: list[tuple[float, int]] = []
+        for op, time, pick in ops:
+            if op == "schedule":
+                seq = len(handles)
+                handles.append((time, seq, q.schedule(time, lambda: None)))
+                live.append((time, seq))
+            elif op == "cancel" and handles:
+                time_, seq, event = handles[pick % len(handles)]
+                q.cancel(event)
+                if (time_, seq) in live:
+                    live.remove((time_, seq))
+            elif op == "pop":
+                if not live:
+                    with pytest.raises(SimulationError):
+                        q.pop()
+                    continue
+                expected = min(live)
+                live.remove(expected)
+                assert q.pop() is handles[expected[1]][2]
+            elif op == "pop_due":
+                due = [key for key in live if key[0] <= time]
+                event = q.pop_due(time)
+                if not due:
+                    assert event is None
+                    continue
+                expected = min(due)
+                live.remove(expected)
+                assert event is handles[expected[1]][2]
+            assert len(q) == len(live)
+            assert q.peek_time() == (min(live)[0] if live else None)

@@ -23,11 +23,13 @@ from repro.agents.behaviors import (
 )
 from repro.core import ProtocolEngine, ProtocolParams
 from repro.core.game import ReputationGame
+from repro.core.netengine import NetworkedProtocolEngine
 from repro.crypto.hashing import hash_value
 from repro.crypto.signatures import SigningKey, sign
 from repro.crypto.vrf import vrf_evaluate
 from repro.network import Topology
 from repro.storage.checkpoints import reputation_digest
+from repro.storage.durable import StorageConfig
 from repro.streaming import StreamingSession, StreamingWorkload, VirtualUniverse
 from repro.workloads import BernoulliWorkload
 from repro.workloads.arrivals import PoissonArrivals
@@ -53,6 +55,48 @@ def test_golden_protocol_block_hashes():
     workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=5678)
     hashes = [engine.run_round(workload.take(8)).block.hash().hex() for _ in range(3)]
     assert hashes == GOLDEN_BLOCK_HASHES
+
+
+# -- networked-engine golden ---------------------------------------------------
+
+# (height, tip hash, reputation digest over the governors' books, auditor
+# checks run across every governor auditor and the harness).
+GOLDEN_NETWORKED = (
+    22,
+    "1d409fe13b82cc5dba084cd736bb3f4a7a6d3f3ecb340fc5f185b118b3acf8d3",
+    "c7475ccaee0103f915cad6235d1b7e9bbdfb136a1355b0b3511660f7dc767ece",
+    10424,
+)
+
+
+def test_golden_networked_engine(tmp_path):
+    """The DES-networked engine in its benchmark shape reproduces its chain.
+
+    l=16 n=8 m=4 r=4, c0 misreports and c1 conceals at 0.4, the auditor
+    on and a durable store: 20 rounds of 32 transactions plus two empty
+    flush rounds.  Misreporting and concealing are not equivocation, so
+    every auditor stays clean.
+    """
+    topo = Topology.regular(l=16, n=8, m=4, r=4)
+    engine = NetworkedProtocolEngine(
+        topo,
+        ProtocolParams(f=0.5, delta=0.2, b_limit=1024),
+        behaviors={"c0": MisreportBehavior(0.4), "c1": ConcealBehavior(0.4)},
+        seed=7,
+        storage=StorageConfig(directory=str(tmp_path / "store")),
+    )
+    workload = BernoulliWorkload(topo.providers, p_valid=0.8, seed=8)
+    for k in range(22):
+        engine.run_round(workload.take(32) if k < 20 else [])
+    engine.finalize()
+    height, tip, digest, checks = GOLDEN_NETWORKED
+    assert engine.store.height == height
+    assert all(ledger.tip_hash().hex() == tip for ledger in engine.ledgers())
+    books = {gid: gov.book for gid, gov in engine.governors.items()}
+    assert reputation_digest(books).hex() == digest
+    reports = [a.report for a in engine.auditors.values()] + [engine.harness_auditor.report]
+    assert [len(report.violations) for report in reports] == [0] * len(reports)
+    assert sum(report.checks_run for report in reports) == checks
 
 
 # -- streaming-session goldens -------------------------------------------------

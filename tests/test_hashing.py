@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import enum
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -113,3 +115,106 @@ def test_property_distinct_int_lists_distinct_hashes(a, b):
 def test_property_bytes_injective(a, b):
     """Injectivity on raw byte strings."""
     assert (hash_value(a) == hash_value(b)) == (a == b)
+
+
+# -- equivalence with the recursive reference encoder ---------------------------
+
+def _reference_encode(value, out):
+    """The recursive ``isinstance``-chain encoder the flat one replaced.
+
+    Frozen here as the specification of the canonical format: the
+    format is what every stored chain and signature depends on, so the
+    flat encoder must produce exactly these bytes.
+    """
+    if value is None:
+        out.append(b"N")
+    elif value is True:
+        out.append(b"T")
+    elif value is False:
+        out.append(b"f")
+    elif isinstance(value, bytes):
+        out.append(b"B")
+        out.append(len(value).to_bytes(8, "big"))
+        out.append(value)
+    elif isinstance(value, str):
+        raw = value.encode("utf-8")
+        out.append(b"S")
+        out.append(len(raw).to_bytes(8, "big"))
+        out.append(raw)
+    elif isinstance(value, int):
+        raw = str(value).encode("ascii")
+        out.append(b"I")
+        out.append(len(raw).to_bytes(8, "big"))
+        out.append(raw)
+    elif isinstance(value, float):
+        raw = repr(value).encode("ascii")
+        out.append(b"F")
+        out.append(len(raw).to_bytes(8, "big"))
+        out.append(raw)
+    elif isinstance(value, (tuple, list)):
+        out.append(b"L")
+        out.append(len(value).to_bytes(8, "big"))
+        for item in value:
+            _reference_encode(item, out)
+    elif isinstance(value, dict):
+        items = sorted(value.items(), key=lambda kv: repr(kv[0]))
+        out.append(b"M")
+        out.append(len(items).to_bytes(8, "big"))
+        for key, val in items:
+            _reference_encode(key, out)
+            _reference_encode(val, out)
+    elif hasattr(value, "canonical_bytes"):
+        _reference_encode(value.canonical_bytes(), out)
+    else:
+        raise TypeError(f"cannot canonically hash value of type {type(value)!r}")
+
+
+def reference_canonical_encode(value) -> bytes:
+    parts: list[bytes] = []
+    _reference_encode(value, parts)
+    return b"".join(parts)
+
+
+class _Tag(str):
+    """A ``str`` subclass: must encode exactly like its text."""
+
+
+class _Count(enum.IntEnum):
+    ONE = 1
+    MINUS = -1
+
+
+class _Opaque:
+    """A domain object encoding as its ``canonical_bytes``."""
+
+    def __init__(self, raw: bytes):
+        self.raw = raw
+
+    def canonical_bytes(self) -> bytes:
+        return self.raw
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8)
+    | st.binary(max_size=8)
+    | st.text(max_size=8).map(_Tag)
+    | st.sampled_from(list(_Count))
+    | st.binary(max_size=8).map(_Opaque)
+)
+
+
+@given(st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=5) | st.integers(), children, max_size=4),
+    max_leaves=16,
+))
+def test_property_flat_encoder_matches_reference(value):
+    """The flat encoder is byte-identical to the recursive reference."""
+    assert canonical_encode(value) == reference_canonical_encode(value)
+    assert hash_many([value, value]) == sha256(reference_canonical_encode((value, value)))

@@ -246,3 +246,48 @@ class TestDropAccounting:
         sim.run()
         assert net.stats.messages_sent == 2
         assert net.stats.messages_dropped == 1
+
+
+class TestRunUntil:
+    def test_cancelled_head_does_not_leak_past_until(self):
+        """A cancelled head event neither runs nor lets later ones run."""
+        sim = Simulator()
+        hits = []
+        head = sim.schedule_at(1.0, lambda: hits.append("head"))
+        sim.schedule_at(2.0, lambda: hits.append("due"))
+        sim.schedule_at(3.5, lambda: hits.append("late"))
+        sim.cancel(head)
+        assert sim.run(until=3.0) == 1
+        assert hits == ["due"]
+        assert sim.now == 3.0
+        assert sim.run(until=4.0) == 1
+        assert hits == ["due", "late"]
+        assert sim.now == 4.0
+
+    def test_cancelled_head_beyond_until(self):
+        """Only a cancelled event is left: nothing runs, the clock parks."""
+        sim = Simulator()
+        hits = []
+        sim.cancel(sim.schedule_at(0.5, lambda: hits.append("head")))
+        sim.schedule_at(5.0, lambda: hits.append("late"))
+        assert sim.run(until=2.0) == 0
+        assert hits == []
+        assert sim.now == 2.0
+
+    def test_event_at_until_runs(self):
+        sim = Simulator()
+        hits = []
+        sim.schedule_at(2.0, lambda: hits.append(1))
+        assert sim.run(until=2.0) == 1
+        assert hits == [1]
+
+    def test_runaway_guard_with_until(self):
+        sim = Simulator()
+        sim.cancel(sim.schedule_at(0.0, lambda: None))
+
+        def reschedule():
+            sim.schedule_after(0.001, reschedule)
+
+        sim.schedule_after(0.0, reschedule)
+        with pytest.raises(SimulationError):
+            sim.run(until=10.0, max_events=100)
