@@ -37,10 +37,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
+from repro.core.horizon import RoundBuckets
 from repro.core.regret import rwm_bound
 from repro.crypto.merkle import MerkleTree
 from repro.ledger.chain import Ledger, check_agreement
-from repro.ledger.transaction import Label, LabeledTransaction
+from repro.ledger.transaction import LabeledTransaction
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
@@ -183,10 +184,18 @@ class SafetyAuditor:
         self.im = im
         self.obs = obs if obs is not None else NULL_REGISTRY
         self.report = AuditReport(auditor=owner)
-        # (governor, serial) -> {block_hash: CommitVote}
-        self._votes: dict[tuple[str, int], dict[bytes, "CommitVote"]] = {}
-        # (collector, tx_id) -> {label: LabeledTransaction}
-        self._labels: dict[tuple[str, str], dict[Label, LabeledTransaction]] = {}
+        # serial -> governor -> {block_hash: CommitVote}; serials at or
+        # below _vote_floor are evicted, and votes for them are stale.
+        self._votes: dict[int, dict[str, dict[bytes, "CommitVote"]]] = {}
+        self._vote_floor = 0
+        # (collector, tx_id) -> the first verified upload, or the
+        # evidence pair once a conflicting label arrived; each key is
+        # filed under the round it was first seen for eviction.
+        self._labels: dict[
+            tuple[str, str],
+            LabeledTransaction | tuple[LabeledTransaction, LabeledTransaction],
+        ] = {}
+        self._label_rounds = RoundBuckets()
         # collector -> last observed reputation-vector version
         self._book_versions: dict[str, int] = {}
         self._m_checks = self.obs.counter(
@@ -198,6 +207,17 @@ class SafetyAuditor:
             "audit_violations_total",
             "Invariant violations detected, by type",
             labels=("type",),
+        )
+        evicted = self.obs.counter(
+            "audit_evicted_total",
+            "Evidence entries dropped past the retention horizon, by kind",
+            labels=("kind",),
+        )
+        self._m_evicted_labels = evicted.labels(kind="label")
+        self._m_evicted_votes = evicted.labels(kind="vote")
+        self._m_stale_votes = self.obs.counter(
+            "audit_stale_votes_total",
+            "Verified commit votes dropped for a serial at or below the vote floor",
         )
 
     # -- bookkeeping ----------------------------------------------------
@@ -336,8 +356,15 @@ class SafetyAuditor:
                 )
             )
             return None, False
-        key = (vote.governor, vote.serial)
-        held = self._votes.setdefault(key, {})
+        if vote.serial <= self._vote_floor:
+            # Evidence for this serial is past the horizon: a lone vote
+            # can no longer complete a pair.
+            self._m_stale_votes.inc()
+            return None, False
+        by_governor = self._votes.get(vote.serial)
+        if by_governor is None:
+            by_governor = self._votes[vote.serial] = {}
+        held = by_governor.setdefault(vote.governor, {})
         held.setdefault(vote.block_hash, vote)
         mismatch = own_hash is not None and vote.block_hash != own_hash
         if len(held) > 1:
@@ -379,24 +406,70 @@ class SafetyAuditor:
         if not collector_ok:
             return None
         key = (upload.collector, upload.tx.tx_id)
-        held = self._labels.setdefault(key, {})
-        held.setdefault(upload.label, upload)
-        if len(held) > 1:
-            pair = tuple(held.values())[:2]
-            return self._record(
-                AuditViolation(
-                    type=ViolationType.COLLECTOR_EQUIVOCATION,
-                    culprit=upload.collector,
-                    round_number=round_number,
-                    detail=(
-                        f"collector {upload.collector} signed conflicting labels "
-                        f"for tx {upload.tx.tx_id}"
-                    ),
-                    provable=True,
-                    evidence=pair,
-                )
+        held = self._labels.get(key)
+        if held is None:
+            self._labels[key] = upload
+            self._label_rounds.add(round_number, key)
+            return None
+        if type(held) is tuple:
+            pair = held
+        elif held.label == upload.label:
+            return None
+        else:
+            pair = self._labels[key] = (held, upload)
+        return self._record(
+            AuditViolation(
+                type=ViolationType.COLLECTOR_EQUIVOCATION,
+                culprit=upload.collector,
+                round_number=round_number,
+                detail=(
+                    f"collector {upload.collector} signed conflicting labels "
+                    f"for tx {upload.tx.tx_id}"
+                ),
+                provable=True,
+                evidence=pair,
             )
-        return None
+        )
+
+    def held_uploads(self) -> list[LabeledTransaction]:
+        """Every upload held as label evidence (first copies and pairs)."""
+        held: list[LabeledTransaction] = []
+        for entry in self._labels.values():
+            if type(entry) is tuple:
+                held.extend(entry)
+            else:
+                held.append(entry)
+        return held
+
+    # -- retention horizon -----------------------------------------------
+
+    def evict(self, label_round: int, vote_serial: int) -> None:
+        """Drop evidence past the retention horizon (DESIGN.md).
+
+        Label evidence first seen in a round ``<= label_round`` goes, and
+        so does vote evidence for serials ``<= vote_serial``; later votes
+        for those serials are stale and :meth:`ingest_vote` drops them.
+        The engine drops uploads past the horizon before they reach
+        :meth:`observe_upload`, so evicted label evidence is never
+        consulted again.
+        """
+        evicted = self._label_rounds.pop_through(label_round)
+        labels = self._labels
+        for key in evicted:
+            del labels[key]
+        self._m_evicted_labels.inc(len(evicted))
+        dropped = 0
+        for serial in range(self._vote_floor + 1, vote_serial + 1):
+            dropped += len(self._votes.pop(serial, ()))
+        self._vote_floor = max(self._vote_floor, vote_serial)
+        self._m_evicted_votes.inc(dropped)
+
+    def held_counts(self) -> dict[str, int]:
+        """Live evidence entries: ``(collector, tx)`` labels and ``(governor, serial)`` votes."""
+        return {
+            "labels": len(self._labels),
+            "votes": sum(len(by_governor) for by_governor in self._votes.values()),
+        }
 
     # -- reputation-book invariants --------------------------------------
 

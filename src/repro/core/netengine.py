@@ -63,6 +63,8 @@ the auditor on or off (locked in by ``tests/test_audit.py``).
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -74,6 +76,7 @@ from repro.audit.config import AuditConfig
 from repro.consensus.messages import CommitVote
 from repro.consensus.pos import LeaderElection
 from repro.consensus.stake import StakeLedger
+from repro.core.horizon import RoundBuckets
 from repro.core.kernel import RoundKernel
 from repro.core.params import ProtocolParams
 from repro.core.rewards import distribute_rewards
@@ -280,6 +283,32 @@ class NetworkedProtocolEngine(RoundKernel):
             if resilience
             else None
         )
+        # Retention horizon H (DESIGN.md, "Retention horizon"): uploads
+        # of a transaction more than H rounds old are dropped at ingress,
+        # so the evidence and dedup state they would consult is evicted.
+        self.horizon = params.horizon_rounds(
+            self.network.max_delay,
+            self.channel.delivery_bound
+            if self.channel is not None
+            else self.network.max_delay,
+        )
+        # t0 of the last H rounds.  An upload is admitted only if its
+        # transaction is signed inside that window: not before the
+        # oldest start (stale), nor after the newest (future-dated).
+        self._round_starts: deque[float] = deque(maxlen=self.horizon)
+        self._stale_before = -math.inf
+        self._round_t0 = -math.inf
+        self._m_stale_uploads = self.obs.counter(
+            "engine_stale_uploads_total",
+            "Uploads dropped at ingress: their transaction is stamped outside the horizon",
+        )
+        evicted = self.obs.counter(
+            "engine_evicted_total",
+            "Dedup entries dropped past the retention horizon, by kind",
+            labels=("kind",),
+        )
+        self._m_evicted_timers = evicted.labels(kind="timer")
+        self._m_evicted_packed = evicted.labels(kind="packed")
         self._m_crash_events = self.obs.counter(
             "engine_crash_events_total",
             "Node crash/recover transitions applied by the engine",
@@ -318,6 +347,14 @@ class NetworkedProtocolEngine(RoundKernel):
         # filter that lets late-screened records carry across rounds
         # without a later leader re-packing an on-chain transaction.
         self._packed_tx_ids: set[str] = set()
+        self._packed_rounds = RoundBuckets()
+        # Packed ids adopted from disk or a peer, and the latest
+        # timestamp among their transactions.  They join the round
+        # buckets only once a round starts after that timestamp: a
+        # restarted engine's clock begins again at zero, so until then
+        # the ingress rule cannot yet call their uploads stale.
+        self._adopted_ids: list[str] = []
+        self._adopted_until = -math.inf
         self.rewards_paid: dict[str, float] = {}
         # -- cross-shard receipts (enable_xshard) -----------------------
         # Relay endpoint id + signing key; None until a ShardCoordinator
@@ -372,9 +409,6 @@ class NetworkedProtocolEngine(RoundKernel):
                         owner=gid, serial=base, tip_hash=self.store.base_hash
                     )
                 sync_replica(gov.ledger, self.store)
-            for serial in range(base + 1, self.store.height + 1):
-                for record in self.store.retrieve(serial).tx_list:
-                    self._packed_tx_ids.add(record.tx.tx_id)
             # Resume the round counter past the recovered tip so freshly
             # packed blocks never reuse a committed round number.
             self._round = (
@@ -382,6 +416,8 @@ class NetworkedProtocolEngine(RoundKernel):
                 if self.store.height > base
                 else base
             )
+            for serial in range(base + 1, self.store.height + 1):
+                self._adopt_packed(self.store.retrieve(serial).tx_list)
             self._restore_books_from_checkpoint()
 
         initial_stake = dict(stake) if stake else {g: 1 for g in topology.governors}
@@ -423,6 +459,7 @@ class NetworkedProtocolEngine(RoundKernel):
 
         # Per-governor Δ timers: (gid, tx_id) -> scheduled (once).
         self._timers_started: set[tuple[str, str]] = set()
+        self._timer_rounds = RoundBuckets()
 
     def _restore_books_from_checkpoint(self) -> None:
         """Re-seed reputation books from the recovered checkpoint payload.
@@ -500,6 +537,19 @@ class NetworkedProtocolEngine(RoundKernel):
             # traffic behind it keeps flowing.)
             if sender in self._quarantined:
                 return
+            # Outside the horizon: its dedup state may be evicted (or,
+            # for a future-dated transaction, would be evicted before it
+            # turned stale), so the upload is dropped before anything
+            # consults it.  The age is the provider-signed timestamp; an
+            # upload whose provider signature fails is a forgery whatever
+            # its age, and goes on to the governor's forge check.
+            tx = upload.tx
+            ts = tx.timestamp
+            if (ts < self._stale_before or ts > self._round_t0) and self.im.verify(
+                tx.provider, tx.signed_message_bytes(), tx.provider_signature
+            ):
+                self._m_stale_uploads.inc()
+                return
             # The collector's signature is checked once per delivery; the
             # auditor and the governor share the verdict.
             collector_ok = self.im.verify(
@@ -517,13 +567,14 @@ class NetworkedProtocolEngine(RoundKernel):
                     self.quarantine_node(violation.culprit, violation)
                     return
             governor = self.governors[gid]
-            tx_id = upload.tx.tx_id
+            tx_id = tx.tx_id
             fresh = not governor.has_buffered(tx_id)
             if governor.ingest_upload(upload, collector_ok) and fresh:
                 # Algorithm 2's starttime(tx, Δ) — first report arms it.
                 key = (gid, tx_id)
                 if key not in self._timers_started:
                     self._timers_started.add(key)
+                    self._timer_rounds.add(self._round, key)
                     self.sim.schedule_after(
                         self.params.delta, lambda: self._governor_endtime(gid, tx_id)
                     )
@@ -668,9 +719,12 @@ class NetworkedProtocolEngine(RoundKernel):
 
         The transaction is signed by the shard's relay identity with a
         nonce and timestamp derived from the receipt itself, so every
-        governor (and every retry) derives the **same** tx id — the
-        pack-time ``_packed_tx_ids`` filter then guarantees at-most-once
-        commitment even if a duplicate slipped past the buffer dedup.
+        governor (and every retry) derives the **same** tx id.
+        At-most-once commitment rests on the receipt id: the buffer
+        dedup and the pack-time check against ``_applied_receipt_ids``,
+        which the retention horizon never evicts.  Receipt records skip
+        the upload path, so the horizon's ingress rule never sees their
+        ``home_serial`` timestamps.
         """
         tx = make_signed_transaction(
             self._relay_key,
@@ -785,7 +839,7 @@ class NetworkedProtocolEngine(RoundKernel):
         governor = self.governors[gid]
         own_hash = (
             governor.ledger.retrieve(vote.serial).hash()
-            if 1 <= vote.serial <= governor.ledger.height
+            if governor.ledger.base_serial < vote.serial <= governor.ledger.height
             else None
         )
         violation, mismatch = self.auditors[gid].ingest_vote(
@@ -1003,8 +1057,7 @@ class NetworkedProtocolEngine(RoundKernel):
         while self.store.height < peer_store.height:
             block = peer_store.retrieve(self.store.height + 1)
             self.store.publish(block)
-            for record in block.tx_list:
-                self._packed_tx_ids.add(record.tx.tx_id)
+            self._adopt_packed(block.tx_list)
             self._m_storage["recovered"].labels(source="peer").inc()
             pulled += 1
         if pulled:
@@ -1181,6 +1234,15 @@ class NetworkedProtocolEngine(RoundKernel):
         self._round += 1
         round_number = self._round
         t0 = self.sim.now
+        starts = self._round_starts
+        starts.append(t0)
+        self._round_t0 = t0
+        if len(starts) == self.horizon:
+            self._stale_before = starts[0]
+        if self._adopted_ids and t0 > self._adopted_until:
+            for tx_id in self._adopted_ids:
+                self._packed_rounds.add(round_number, tx_id)
+            self._adopted_ids = []
         cutoff = t0 + 2 * self.network.max_delay + self.params.delta + 0.001
 
         # Phase 1: providers broadcast at t0.
@@ -1259,8 +1321,7 @@ class NetworkedProtocolEngine(RoundKernel):
                 b_limit=self.params.b_limit,
             )
             self.store.publish(block)
-            for record in records:
-                self._packed_tx_ids.add(record.tx.tx_id)
+            self._mark_packed(records)
             packed["block"] = block
             self.broadcast.broadcast("blocks", live, block)
 
@@ -1331,6 +1392,7 @@ class NetworkedProtocolEngine(RoundKernel):
         self.obs.record_span(
             "round", ctx.t0, self.sim.now, round=round_number, leader=leader_id
         )
+        self._evict_expired(round_number)
 
         return NetworkedRoundResult(
             round_number=round_number,
@@ -1339,6 +1401,70 @@ class NetworkedProtocolEngine(RoundKernel):
             argues_sent=ctx.argues_sent,
             rewards=rewards,
         )
+
+    # -- retention horizon ----------------------------------------------------
+
+    def _mark_packed(self, records: Sequence[TxRecord]) -> None:
+        """Add on-chain tx ids to the pack-time dedup filter."""
+        packed = self._packed_tx_ids
+        for record in records:
+            tx_id = record.tx.tx_id
+            if tx_id not in packed:
+                packed.add(tx_id)
+                self._packed_rounds.add(self._round, tx_id)
+
+    def _adopt_packed(self, records: Sequence[TxRecord]) -> None:
+        """Add ids of blocks recovered from disk or pulled from a peer.
+
+        They stay out of the round buckets until a round starts after
+        every adopted timestamp, so none is evicted before the ingress
+        rule drops its uploads as stale.
+        """
+        packed = self._packed_tx_ids
+        for record in records:
+            tx = record.tx
+            self._adopted_until = max(self._adopted_until, tx.timestamp)
+            if tx.tx_id not in packed:
+                packed.add(tx.tx_id)
+                self._adopted_ids.append(tx.tx_id)
+
+    def _evict_expired(self, round_number: int) -> None:
+        """Drop evidence and dedup state past the retention horizon.
+
+        Entries first recorded ``H`` or more rounds ago go, whole round
+        buckets at a time; vote evidence is kept for the top ``H``
+        serials above the durable checkpoint base.  Uploads of a
+        transaction older than ``H`` rounds are dropped at ingress, so
+        no later upload can consult what is evicted here (DESIGN.md,
+        "Retention horizon").
+        """
+        limit = round_number - self.horizon
+        # A governor crash already dropped its timer keys: count only
+        # what is removed here.
+        timers = self._timers_started
+        before = len(timers)
+        timers.difference_update(self._timer_rounds.pop_through(limit))
+        self._m_evicted_timers.inc(before - len(timers))
+        evicted = self._packed_rounds.pop_through(limit)
+        self._packed_tx_ids.difference_update(evicted)
+        self._m_evicted_packed.inc(len(evicted))
+        vote_floor = max(self.store.base_serial, self.store.height - self.horizon)
+        for auditor in self.auditors.values():
+            auditor.evict(limit, vote_floor)
+
+    def retained_state(self) -> dict[str, int]:
+        """Live horizon-bounded entries, summed over governors.
+
+        ``labels`` and ``votes`` are auditor evidence, ``timers`` the
+        armed-once Δ-timer keys and ``packed`` the pack-time dedup ids.
+        """
+        counts = {"labels": 0, "votes": 0}
+        for auditor in self.auditors.values():
+            for kind, held in auditor.held_counts().items():
+                counts[kind] += held
+        counts["timers"] = len(self._timers_started)
+        counts["packed"] = len(self._packed_tx_ids)
+        return counts
 
     def drain_recovery(self, grace: float | None = None) -> None:
         """Let in-flight retransmits and gap repairs complete.

@@ -164,6 +164,26 @@ class ProtocolParams:
         """``gamma_tx`` for a transaction with expected loss ``loss``."""
         return gamma_for(self.beta, loss)
 
+    def horizon_rounds(self, max_delay: float, hop_bound: float) -> int:
+        """The networked engine's retention horizon ``H``, in rounds.
+
+        A transaction created in round ``r`` is accepted from uploads
+        through round ``r + H - 1``; after that its uploads are dropped at
+        ingress, and the upload evidence and dedup state it left are
+        evicted (DESIGN.md, "Retention horizon").
+
+        A round lasts at least ``delta + 4 * max_delay``.  The feed and
+        upload hops take at most ``hop_bound`` each (``max_delay`` on a
+        plain network, the full retransmission schedule on a reliable
+        channel) and the Δ timer runs ``delta`` after the upload, so
+        ``L = ceil((2 * hop_bound + delta) / (delta + 4 * max_delay))``
+        rounds cover every late upload and screening of a transaction.
+        ``H`` is the larger of ``L`` and the argue window ``U``.
+        """
+        late = 2.0 * hop_bound + self.delta
+        span = self.delta + 4.0 * max_delay
+        return max(self.argue_window, math.ceil(late / span))
+
     def with_tuned_beta(self, r: int, horizon: int) -> "ProtocolParams":
         """A copy whose beta follows the Theorem-1 schedule."""
         return replace(self, beta=tuned_beta(r, horizon))

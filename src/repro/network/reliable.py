@@ -213,6 +213,19 @@ class ReliableChannel:
         self._transmit(msg_id)
 
     @property
+    def delivery_bound(self) -> float:
+        """Latest a delivered envelope can arrive after its first send.
+
+        The last retransmission leaves after the whole timer schedule
+        and takes at most one more ``max_delay``.
+        """
+        schedule = sum(
+            self.base_timeout * self.backoff**attempt
+            for attempt in range(self.max_retries)
+        )
+        return schedule + self.network.max_delay
+
+    @property
     def unacked(self) -> int:
         """Messages still awaiting an ack (retry timers live)."""
         return len(self._pending)

@@ -10,6 +10,16 @@ from repro.crypto.identity import IdentityManager, Role
 from repro.network.topology import Topology
 
 
+def pytest_collection_modifyitems(config, items):
+    """Run ``soak``-marked tests only when the marker expression names them."""
+    if "soak" in (config.getoption("markexpr") or ""):
+        return
+    skip = pytest.mark.skip(reason="long soak variant; select with -m soak")
+    for item in items:
+        if "soak" in item.keywords:
+            item.add_marker(skip)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A fresh, seeded RNG per test."""

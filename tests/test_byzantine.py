@@ -179,8 +179,7 @@ class TestTamperedRuns:
         held = [
             upload
             for auditor in engine.auditors.values()
-            for by_label in auditor._labels.values()
-            for upload in by_label.values()
+            for upload in auditor.held_uploads()
         ]
         assert held
         for upload in held:
